@@ -188,7 +188,7 @@ class TestKernelSchemes:
                 database, use_index=False, n_shards=4, cache_size=0, k=k
             )
             # Rank through the sharded scan with the same query object.
-            sharded_ids, _ = service._sharded_scan(query, k)
+            sharded_ids, _, _ = service.scan_batch([query], [k])[0]
             service.shutdown()
             np.testing.assert_array_equal(kernel_ids, naive_ids)
             np.testing.assert_array_equal(kernel_ids, tree_ids)

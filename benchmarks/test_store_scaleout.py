@@ -100,12 +100,17 @@ def payload(tmp_path_factory):
     for n_workers in WORKER_COUNTS:
         with ShardWorkerPool(store_path, n_workers=n_workers) as pool:
             # Warm-up: spawn + per-process store open + kernel compile.
-            futures = [pool.submit(i, encoded, K) for i in range(N_SHARDS)]
-            pages[n_workers] = merge_parts([f.result() for f in futures])
+            futures = [
+                pool.submit_batch(i, [encoded], [K], [False]) for i in range(N_SHARDS)
+            ]
+            pages[n_workers] = merge_parts([f.result()[0] for f in futures])
             best = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
-                futures = [pool.submit(i, encoded, K) for i in range(N_SHARDS)]
+                futures = [
+                    pool.submit_batch(i, [encoded], [K], [False])
+                    for i in range(N_SHARDS)
+                ]
                 for future in futures:
                     future.result()
                 best = min(best, time.perf_counter() - start)

@@ -539,7 +539,6 @@ def cmd_chaos(args) -> int:
     for name in (
         "shard_retries",
         "shard_failures",
-        "hedges",
         "compile_retries",
         "restore_retries",
         "checkpoint_save_errors",

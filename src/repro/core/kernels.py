@@ -420,8 +420,8 @@ def batched_per_cluster_distances(
 def batch_tile_bounds(n: int, p: int) -> List[Tuple[int, int]]:
     """Row-tile ``(start, stop)`` bounds shared by every batched scorer.
 
-    A pure function of the matrix geometry so solo and batched scans
-    over the same rows make identical per-tile kernel calls; the tail
+    A pure function of the matrix geometry so a query scanned alone and
+    inside a micro-batch makes identical per-tile kernel calls; the tail
     is merged into the preceding tile, keeping every tile at least
     ``_BATCH_TILE_ELEMENTS // p`` rows tall.
     """

@@ -677,7 +677,7 @@ def _full_scan_stats(n: int) -> ScanStats:
 
 
 def _prepare(vectors: np.ndarray, query, k: int):
-    """Eligibility gates shared by the solo and batched entry points.
+    """Eligibility gates of the progressive scan, per query.
 
     Returns ``(combine, plan)`` when the progressive path applies to
     this ``(vectors, query, k)`` triple, else ``None``.
@@ -868,11 +868,12 @@ def progressive_topk(
 ) -> Optional[ProgressiveResult]:
     """Exact top-``k`` of ``query`` over ``vectors`` by filter-and-refine.
 
-    Returns ``None`` when the progressive path does not apply (layer
-    disabled, kernels disabled, scan too small, ``k`` too close to
-    ``N``, query without per-cluster structure, or no eligible plan) —
-    callers then fall back to their classic full scan.  When it does
-    apply, the result is byte-identical to
+    A batch of one through :func:`progressive_topk_batch`.  Returns
+    ``None`` when the progressive path does not apply (layer disabled,
+    kernels disabled, scan too small, ``k`` too close to ``N``, query
+    without per-cluster structure, or no eligible plan) — callers then
+    fall back to their classic full scan.  When it does apply, the
+    result is byte-identical to
     ``exact_top_k(query.distances(vectors), k)``.
 
     Args:
@@ -881,33 +882,7 @@ def progressive_topk(
             prefix transform; ignored when its shape does not cover
             this scan.  Bounds change, rankings never do.
     """
-    prep = _prepare(vectors, query, k)
-    if prep is None:
-        return None
-    combine, plan = prep
-    schedule = plan.schedule
-    context = plan.scan_context(vectors)
-    t0 = schedule[0]
-    n = vectors.shape[0]
-
-    if coarse is not None and coarse.matches(n, vectors.shape[1]):
-        # Level 0 from the stored projections: no full-database GEMM at
-        # all.  The bounds are not prefix partial sums, so escalation
-        # restarts the accumulator at coordinate 0 for the survivors.
-        per_cluster = coarse.lower_bounds([plan])[0]
-        lower = np.asarray(combine(per_cluster))
-        return _scan_from_level0(
-            vectors, query, combine, plan, context, k, lower, None,
-            [(0, t0)] + _mid_ranges(schedule), "coarse",
-        )
-
-    # --- Filter: lower-bound every candidate on the first t0 coords.
-    per_cluster = context.prefix_distances(vectors, 0, t0)
-    lower = np.asarray(combine(per_cluster))
-    return _scan_from_level0(
-        vectors, query, combine, plan, context, k, lower, per_cluster,
-        _mid_ranges(schedule), "prefix",
-    )
+    return progressive_topk_batch(vectors, [query], [k], coarse=coarse)[0]
 
 
 def _batched_prefix_level0(
@@ -922,9 +897,10 @@ def _batched_prefix_level0(
     single GEMM covering the whole micro-batch, then splits the
     products back per plan (the same expanded ``x·C − c·C`` arithmetic
     as :meth:`_ScanContext.prefix_distances`).  Diagonal clusters are
-    scored exactly on the same hot tile.  Values can differ from the
-    solo path by summation-order ulps only — they feed the slacked
-    pruning threshold, never a returned distance.
+    scored exactly on the same hot tile.  Values can differ from
+    :meth:`_ScanContext.prefix_distances` by summation-order ulps only
+    — they feed the slacked pruning threshold, never a returned
+    distance.
     """
     n = vectors.shape[0]
     outs = [np.empty((plan.size, n)) for plan in plans]
@@ -972,15 +948,15 @@ def progressive_topk_batch(
 ) -> List[Optional[ProgressiveResult]]:
     """Filter-and-refine several queries over one matrix, sharing passes.
 
-    The batched counterpart of :func:`progressive_topk`: all eligible
-    queries share one level-0 pass — either a single stacked prefix
-    GEMM over the whole micro-batch (the database is read from memory
-    once instead of once per query) or, when ``coarse`` covers the
-    scan, one small product against the store's precomputed PCA
-    projections.  Seeding, escalation and refinement then run per
-    query through each query's own compiled kernels, so every returned
-    page is byte-identical to its solo :func:`progressive_topk` /
-    full-scan counterpart.
+    The one progressive scan (:func:`progressive_topk` is a batch of
+    one): all eligible queries share one level-0 pass — either a
+    single stacked prefix GEMM over the whole micro-batch (the
+    database is read from memory once instead of once per query) or,
+    when ``coarse`` covers the scan, one small product against the
+    store's precomputed PCA projections.  Seeding, escalation and
+    refinement then run per query through each query's own compiled
+    kernels, so every returned page is byte-identical to that query's
+    full-scan counterpart, whatever its batch mates.
 
     Args:
         queries: the micro-batch (need not share cluster counts or
@@ -988,7 +964,7 @@ def progressive_topk_batch(
         ks: per-query page sizes.
         coarse: optional :class:`CoarseLevel0` covering ``vectors``.
         approximate: per-query load-shed flags (see
-            :func:`progressive_topk`'s ``exact=False`` contract).
+            :class:`ProgressiveResult`'s ``exact=False`` contract).
 
     Returns:
         One :class:`ProgressiveResult` per query, or ``None`` in the

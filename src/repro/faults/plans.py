@@ -8,8 +8,9 @@ Seeded scenarios, each aimed at a distinct recovery mechanism:
   exact fallback scan, and explicit ``shard_failed`` degradation when
   retries run dry.
 * ``slow-shard`` — shard tasks and node reads stall; exercised paths:
-  soft-deadline degradation and hedged re-dispatch of stragglers.
-  Latency never changes data, so every response must stay exact.
+  soft-deadline degradation of the index path and scans that simply
+  wait out their stragglers.  Latency never changes data, so every
+  response must stay exact.
 * ``corrupt-checkpoint`` — checkpoint writes are torn, cache entries
   rot, restores hiccup once; exercised paths: CRC validation with
   quarantine-and-rebuild, result-cache integrity checksums, and
@@ -60,7 +61,7 @@ def _worker_crash(seed: int) -> Tuple[FaultSpec, ...]:
 
 def _slow_shard(seed: int) -> Tuple[FaultSpec, ...]:
     return (
-        # Straggling shards: the hedged re-dispatch should win the race.
+        # Straggling shards: the scan waits them out, so pages stay exact.
         FaultSpec("shard.scan", "latency", probability=0.5, latency_s=0.05),
         # Occasional slow node reads blow the soft deadline on the
         # index path without corrupting anything.

@@ -504,7 +504,7 @@ class Tracer:
         """How many ``name`` events completed spans have recorded.
 
         Chaos tests use this to assert injected-fault and recovery
-        events (``fault_injected``, ``retry``, ``hedge``, ...) actually
+        events (``fault_injected``, ``retry``, ``shard_failed``, ...) actually
         surfaced in the traces.
         """
         with self._lock:
@@ -526,7 +526,7 @@ class TailSamplingPolicy:
     ones.  A tail policy defers the decision to request end:
 
     * **slow** — root duration exceeded ``slow_threshold_s``: kept.
-    * **interesting** — the trace recorded a fault, retry, hedge, shard
+    * **interesting** — the trace recorded a fault, retry, shard
       failure, degradation, shed, or an ``error`` attribute anywhere in
       the tree (grafted worker spans included): kept.
     * **random** — a deterministic ``keep_probability`` coin for the
@@ -546,7 +546,6 @@ class TailSamplingPolicy:
         {
             "fault_injected",
             "retry",
-            "hedge",
             "shard_failed",
             "result_quality",
             "batch_shed",

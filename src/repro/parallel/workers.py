@@ -14,12 +14,14 @@ either zero-copy reads or byte-identical rankings:
   through the pickle machinery; each worker compiles into its own
   process-wide kernel cache (compilation is a pure function of the
   cluster state, so every process builds the same evaluators);
-* :func:`scan_shard_topk` is the *single* per-shard top-k
-  implementation shared by the serial path, the thread pool and the
-  process pool — there is no second scan codepath to drift — and the
-  coordinator merges per-shard results in shard order under the
-  ``(distance, id)`` tie-break, so the backend choice can never change
-  a ranking, only its wall-clock cost.
+* :func:`scan_shard_topk_batch` is the *single* per-shard top-k
+  implementation shared by the inline path, the thread pool and the
+  process pool — a single query is a batch of one, so there is no
+  second scan codepath to drift — and the coordinator merges per-shard
+  results in shard order under the ``(distance, id)`` tie-break, so
+  the backend choice can never change a ranking, only its wall-clock
+  cost.  :meth:`ShardWorkerPool.submit_batch` is the pool's only
+  entry.
 
 Workers are spawn-safe: the pool uses the ``spawn`` start method
 explicitly, so no fork-inherited locks, mmaps or NumPy thread pools
@@ -29,7 +31,7 @@ Trace propagation rides the existing round-trip: when the coordinator
 passes a ``trace`` payload (a
 :meth:`~repro.obs.TraceContext.to_dict` dict), the worker records its
 scan under a process-local tracer adopted into that context and
-returns the finished span dicts appended to the result tuple — no new
+returns the finished span dicts beside the results — no new
 IPC channel, and the scan arrays themselves are untouched (the
 byte-identity guarantee holds with tracing on or off).
 """
@@ -53,7 +55,6 @@ from ..core.kernels import (
 from ..core.progressive import (
     CoarseLevel0,
     exact_top_k,
-    progressive_topk,
     progressive_topk_batch,
 )
 from ..datasets.matrix import assert_scan_ready
@@ -79,41 +80,28 @@ def scan_shard_topk(
 ):
     """Exact per-shard top-``k``: ``(global ids, distances, pruned, refined)``.
 
-    Routed through the progressive filter-and-refine scan when it
-    applies; the fallback computes every distance.  Either way the
-    ids/distances returned are the shard's exact top-k under the
-    ``(distance, id)`` order — this is the one scan kernel every
-    backend (serial, threads, processes) runs.
+    One query scanned as a batch of one by :func:`scan_shard_topk_batch`
+    — the one scan kernel every backend runs — for single-query callers
+    (ground truth, determinism checks).
 
     Args:
         coarse: optional precomputed level-0 projections for this shard
             (the store's PCA companions); bounds change, rankings never
             do.
     """
-    k = min(k, shard.shape[0])
-    progressive = progressive_topk(shard, query, k, coarse=coarse)
-    if progressive is not None:
-        return (
-            progressive.indices + offset,
-            progressive.distances,
-            progressive.stats.pruned,
-            progressive.stats.refined,
-        )
-    distances = _full_scan_distances([query], shard)[0]
-    top = exact_top_k(distances, k)
-    return top + offset, distances[top], 0, shard.shape[0]
+    return scan_shard_topk_batch([query], shard, offset, [k], coarse=coarse)[0][:4]
 
 
 def _full_scan_distances(queries, shard: np.ndarray) -> List[np.ndarray]:
     """Aggregate distances of every row to each full-scan query.
 
-    The one fallback scorer both the solo and batched scan use: queries
+    The full-scan scorer behind :func:`scan_shard_topk_batch`: queries
     the compiled-kernel layer understands share a single tiled pass
     (:func:`~repro.core.kernels.batched_per_cluster_distances`, whose
     tile bounds depend only on the shard geometry — so a query scored
-    solo and the same query scored inside a micro-batch make identical
-    per-tile kernel calls and return identical bytes); anything else
-    falls back to the query's own ``distances`` method.
+    alone and the same query scored inside a micro-batch make
+    identical per-tile kernel calls and return identical bytes);
+    anything else falls back to the query's own ``distances`` method.
     """
     compiled_at: List[Optional[int]] = []
     compilable = []
@@ -150,14 +138,15 @@ def scan_shard_topk_batch(
 ) -> List[Tuple[np.ndarray, np.ndarray, int, int, bool]]:
     """Per-shard top-``k`` for a whole micro-batch in one database pass.
 
-    The batched counterpart of :func:`scan_shard_topk`: eligible
-    queries share one level-0 filter pass over the shard (see
+    The one per-shard scan kernel (a single query is a batch of one):
+    eligible queries share one level-0 filter pass over the shard (see
     :func:`~repro.core.progressive.progressive_topk_batch`), then each
-    refines through its own compiled kernels — so every returned page
-    is byte-identical to its solo scan.  Queries the progressive path
-    rejects share one tiled full-scan pass instead (or, for query
-    types the kernel layer cannot compile, their own ``distances``
-    method), still byte-identical to their solo fallback.
+    refines through its own compiled kernels, so every returned page
+    is byte-identical to scanning that query alone.  Queries the
+    progressive path rejects share one tiled full-scan pass instead
+    (or, for query types the kernel layer cannot compile, their own
+    ``distances`` method).  Either way each page is the shard's exact
+    top-k under the ``(distance, id)`` order.
 
     Returns one ``(global ids, distances, pruned, refined, exact)``
     tuple per query; ``exact`` is ``False`` only when that query's
@@ -335,8 +324,8 @@ class _WorkerTrace:
     Builds a short-lived process-local tracer adopted into the
     propagated :class:`~repro.obs.TraceContext`, opens a ``scan`` span
     annotated with the worker's identity, and hands the finished span
-    dicts back through :attr:`spans` — the payload the task appends to
-    its result for coordinator-side stitching.  Span ids are prefixed
+    dicts back through :attr:`spans` — the payload the task returns
+    beside its results for coordinator-side stitching.  Span ids are prefixed
     with the worker pid so they can never collide with coordinator ids
     inside one stitched trace.  A ``None`` trace payload makes the
     whole thing a no-op.
@@ -381,44 +370,6 @@ class _WorkerTrace:
         self.spans = self._tracer.traces() if self._tracer is not None else []
 
 
-def _scan_shard_task(
-    store_path: str,
-    shard_index: int,
-    payload: Dict[str, Any],
-    k: int,
-    trace: Optional[Dict[str, Any]] = None,
-):
-    """One shard's top-k, computed inside a worker process.
-
-    The shard is a zero-copy mmap view (asserted scan-ready: float32,
-    C-contiguous — no silent conversion happens between the file and
-    the kernels); the query is rebuilt from its payload and compiled
-    into this process's kernel cache.  Exceptions — including
-    :class:`~repro.store.StoreBlockCorrupt` — pickle back to the
-    coordinator intact.
-
-    With a ``trace`` payload the return gains a fifth element: the
-    worker-side span dicts recorded under the propagated context.
-    Without one the historical 4-tuple shape is preserved exactly.
-    """
-    store = _worker_store(store_path)
-    query = decode_query(payload)
-    with _WorkerTrace(trace, shard_index) as recorder:
-        ensure_compiled(query)
-        shard = assert_scan_ready(
-            store.shard(shard_index), name=f"shard {shard_index}"
-        )
-        offset = store.row_offsets[shard_index]
-        coarse = _worker_coarse(store_path, shard_index)
-        ids, distances, pruned, refined = scan_shard_topk(
-            query, shard, offset, k, coarse=coarse
-        )
-    result = (np.asarray(ids), np.asarray(distances), int(pruned), int(refined))
-    if trace is None:
-        return result
-    return result + (recorder.spans,)
-
-
 def _scan_shard_batch_task(
     store_path: str,
     shard_index: int,
@@ -429,10 +380,15 @@ def _scan_shard_batch_task(
 ):
     """A whole micro-batch's top-k over one shard, inside a worker.
 
-    The batched counterpart of :func:`_scan_shard_task`: one shard read
-    feeds every query in the batch (see :func:`scan_shard_topk_batch`).
-    Results come back as plain tuples in payload order; with a
-    ``trace`` payload they arrive wrapped as ``(parts, spans)``.
+    The shard is a zero-copy mmap view (asserted scan-ready: float32,
+    C-contiguous — no silent conversion happens between the file and
+    the kernels), read once for every query in the batch (see
+    :func:`scan_shard_topk_batch`); the queries are rebuilt from their
+    payloads and compiled into this process's kernel cache.  Results
+    come back as plain tuples in payload order; with a ``trace``
+    payload they arrive wrapped as ``(parts, spans)``.  Exceptions —
+    including :class:`~repro.store.StoreBlockCorrupt` — pickle back to
+    the coordinator intact.
     """
     store = _worker_store(store_path)
     queries = [decode_query(payload) for payload in payloads]
@@ -523,26 +479,6 @@ class ShardWorkerPool:
         future.add_done_callback(self._task_done)
         return future
 
-    def submit(
-        self,
-        shard_index: int,
-        payload: Dict[str, Any],
-        k: int,
-        trace: Optional[Dict[str, Any]] = None,
-    ) -> "Future":
-        """Dispatch one shard scan; returns its future.
-
-        With a ``trace`` context dict the result gains a trailing
-        element of worker-recorded span dicts (see
-        :func:`_scan_shard_task`).
-        """
-        executor = self._ensure_executor()
-        return self._track_submit(
-            lambda: executor.submit(
-                _scan_shard_task, self.store_path, shard_index, payload, k, trace
-            )
-        )
-
     def submit_batch(
         self,
         shard_index: int,
@@ -570,10 +506,6 @@ class ShardWorkerPool:
                 trace,
             )
         )
-
-    def run(self, shard_index: int, payload: Dict[str, Any], k: int):
-        """Blocking convenience: submit one shard scan and await it."""
-        return self.submit(shard_index, payload, k).result()
 
     def _task_done(self, future: "Future") -> None:
         with self._stats_lock:

@@ -19,7 +19,7 @@ service down.
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics` counters and
   latency percentiles behind a plain-dict snapshot.
 * :mod:`~repro.service.resilience` — :class:`ResiliencePolicy` retry /
-  deadline / hedging discipline for the idempotent stages, with
+  deadline discipline for the idempotent stages, with
   :class:`~repro.system.ResultQuality` provenance on every page.
 * :mod:`~repro.service.batching` — :class:`BatchingExecutor`, coalescing
   compatible in-flight queries into micro-batches that share one

@@ -22,7 +22,7 @@ retry budget, a session rebuilt from a corrupt checkpoint), the
 response says so explicitly through the :class:`ResultQuality`
 provenance re-exported here (it lives next to
 :class:`~repro.system.ResultPage`, whose field it is); the retry /
-deadline / hedging machinery itself is in
+deadline machinery itself is in
 :mod:`repro.service.resilience`.
 """
 

@@ -8,7 +8,11 @@ relevance-feedback sessions at once:
 * per-session access is serialized by the session's own lock while
   distinct sessions run fully in parallel (the store-level lock is held
   only for map lookups);
-* ranking executes across database shards on a shared
+* every exact scan is a micro-batch: the batching executor's batches
+  and, when batching is off (or a rescue needs one query rescanned), a
+  single query as a batch of one — one fan-out (:meth:`_scan`) serves
+  them all;
+* that scan executes across database shards on a shared
   :class:`~concurrent.futures.ThreadPoolExecutor` — the quadratic-form
   hot path is NumPy ``matmul``/``einsum`` which releases the GIL, so
   shards genuinely overlap; a store-backed service can instead fan out
@@ -22,8 +26,7 @@ relevance-feedback sessions at once:
 * transient failures are absorbed by the resilience machinery
   (:mod:`repro.service.resilience`): kernel compilation and per-shard
   scans retry with bounded backoff under a per-request deadline
-  budget, straggler shards can be hedged to duplicate tasks, and any
-  coverage actually lost is reported on the page's
+  budget, and any coverage actually lost is reported on the page's
   :class:`~repro.system.ResultQuality`;
 * everything is observable through :meth:`metrics_snapshot`.
 
@@ -40,17 +43,18 @@ session's feedback the session stays marked.
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.kernels import default_kernel_cache, ensure_compiled
+from ..core.kernels import CompiledQuery, default_kernel_cache, ensure_compiled
 from ..core.progressive import CoarseLevel0, exact_top_k
 from ..datasets.matrix import assert_scan_ready
 from ..faults import fault_point, register_site
@@ -69,7 +73,6 @@ from ..obs import (
 from ..parallel.workers import (
     ShardWorkerPool,
     encode_query,
-    scan_shard_topk,
     scan_shard_topk_batch,
     shard_coarse_level0,
 )
@@ -144,22 +147,23 @@ class RetrievalService:
         soft_deadline_s: per-query latency budget for the index path.
         deadline_trip: consecutive deadline misses before a session is
             pinned to the fallback scan.
-        resilience: retry / request-deadline / hedging knobs (see
+        resilience: retry and request-deadline knobs (see
             :class:`~repro.service.resilience.ResiliencePolicy`); the
             default retries idempotent stages three times, with no
-            request deadline and no hedging.
+            request deadline.
         metrics: share an external :class:`ServiceMetrics` if desired.
         tracer: a :class:`~repro.obs.Tracer` recording per-request span
             trees (classify/merge/compile/scan/refine stages with
             algorithmic events); default is the no-op
             :data:`~repro.obs.NULL_TRACER`, whose overhead is
             negligible (see ``benchmarks/test_obs_overhead.py``).
-        batching: coalesce compatible concurrent fallback-scan queries
-            into micro-batches that share one database pass (see
+        batching: queue compatible concurrent exact-scan queries so
+            they meet batch mates and share one database pass (see
             :mod:`repro.service.batching`); ``True`` uses the default
             :class:`~repro.service.batching.BatchingConfig`, or pass a
-            config directly.  Pages stay byte-identical to per-query
-            execution; only wall-clock cost and throughput change.
+            config directly.  Without it each query is scanned as a
+            batch of one.  Pages stay byte-identical either way; only
+            wall-clock cost and throughput change.
         slo: a :class:`~repro.obs.SLOTracker` recording per-route /
             per-tenant / per-quality latency histograms and objective
             burn rates; one with the default objectives is built when
@@ -742,28 +746,36 @@ class RetrievalService:
     def _kernel_cache_event(self, event: str) -> None:
         self.metrics.increment(f"kernel_cache_{event}")
 
-    def _compute_rank(self, session: ManagedSession, k: int, budget: DeadlineBudget):
-        # Compile the query's distance kernels exactly once per ranking
-        # — the index path, every shard of the fallback scan, and any
-        # later page fetch for this query all reuse the same compiled
-        # evaluators (shared process-wide, content-addressed by cluster
-        # state, so sessions asking the same question share them too).
-        # Compilation is a pure function of the cluster state, so
-        # transient failures retry with backoff under the request budget.
-        def on_compile_retry(attempt: int, error: BaseException) -> None:
+    def _compile(
+        self, query: QueryLike, budget: Optional[DeadlineBudget]
+    ) -> CompiledQuery:
+        """The query's compiled distance kernels, retried under ``budget``.
+
+        Compiled at most once per ranking: the index path, every shard
+        of the exact scan and any later page fetch for this query reuse
+        the same evaluators (shared process-wide, content-addressed by
+        cluster state, so sessions asking the same question share them
+        too).  Compilation is a pure function of the cluster state, so
+        transient failures retry with backoff under the request budget.
+        """
+
+        def on_retry(attempt: int, error: BaseException) -> None:
             self.metrics.increment("compile_retries")
             add_event("retry", stage="compile", attempt=attempt, error=repr(error))
 
-        retry_call(
+        return retry_call(
             lambda: ensure_compiled(
-                session.query,
+                query,
                 on_event=self._kernel_cache_event,
                 scope=self._dataset_fingerprint,
             ),
             self.resilience.retry,
             deadline=budget,
-            on_retry=on_compile_retry,
+            on_retry=on_retry,
         )
+
+    def _compute_rank(self, session: ManagedSession, k: int, budget: DeadlineBudget):
+        compiled = self._compile(session.query, budget)
         guard = session.guard
         if self._tree is not None and (guard is None or not guard.active):
             if session.searcher is None:
@@ -804,19 +816,14 @@ class RetrievalService:
                     -(-self.size // page_capacity_for(self._dimension)),
                 )
                 if self._batching is not None:
-                    compiled = ensure_compiled(
-                        session.query, scope=self._dataset_fingerprint
-                    )
                     return self._batching.submit(
                         session.query,
                         compatibility_key(compiled, self._dataset_fingerprint),
                         k,
-                        tenant=self._session_tenants.get(
-                            session.session_id, "default"
-                        ),
+                        tenant=self.tenant_of(session.session_id),
                         budget=budget,
                     )
-                return self._sharded_scan(session.query, k, budget)
+                return self._scan([session.query], [k], [False], budget)[0]
 
     def _shard_array(self, index: int) -> np.ndarray:
         """Shard ``index`` as a scan-ready C-contiguous matrix.
@@ -856,147 +863,6 @@ class RetrievalService:
         with self._coarse_lock:
             return self._coarse_cache.setdefault(index, coarse)
 
-    @staticmethod
-    def _shard_topk(
-        query: QueryLike,
-        shard: np.ndarray,
-        offset: int,
-        k: int,
-        coarse: Optional[CoarseLevel0] = None,
-    ):
-        """Exact per-shard top-``k``: ``(global ids, distances, pruned, refined)``.
-
-        Delegates to :func:`~repro.parallel.workers.scan_shard_topk` —
-        the same kernel worker processes run — after the ``shard.scan``
-        fault point, so every backend shares one scan implementation.
-        """
-        fault_point(_SITE_SHARD, key=str(offset))
-        return scan_shard_topk(query, shard, offset, k, coarse=coarse)
-
-    def _run_shard(self, query: QueryLike, index: int, k: int, budget: DeadlineBudget):
-        """One shard's exact top-``k`` with bounded retries.
-
-        Scanning a read-only shard is idempotent, so transient failures
-        (including injected ``shard.scan`` faults) are retried with
-        backoff until the retry budget or the request deadline runs out;
-        the final error propagates for :meth:`_sharded_scan` to absorb.
-        Permanent errors (a CRC-quarantined store block) skip the
-        backoff entirely and propagate at once.
-        """
-        offset = self._shard_offsets[index]
-
-        def on_retry(attempt: int, error: BaseException) -> None:
-            self.metrics.increment("shard_retries")
-            add_event(
-                "retry",
-                stage="shard_scan",
-                shard_offset=offset,
-                attempt=attempt,
-                error=repr(error),
-            )
-
-        return retry_call(
-            lambda: self._shard_topk(
-                query,
-                self._shard_array(index),
-                offset,
-                k,
-                coarse=self._shard_coarse(index),
-            ),
-            self.resilience.retry,
-            deadline=budget,
-            on_retry=on_retry,
-        )
-
-    @staticmethod
-    def _race(futures: List["Future"]):
-        """First successful result among duplicate shard tasks.
-
-        Hedge copies compute byte-identical data from the same immutable
-        shard, so whichever finishes first is *the* answer; losers are
-        discarded when they eventually complete.  Returns ``(result,
-        errors)`` with ``result=None`` when every copy raised.
-        """
-        errors: List[BaseException] = []
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    return future.result(), errors
-                except Exception as error:  # noqa: PERF203 — per-copy verdict
-                    errors.append(error)
-        return None, errors
-
-    def _thread_parts(self, query: QueryLike, k: int, budget: DeadlineBudget):
-        """Per-shard results on the shared thread pool (inline when 1 shard).
-
-        Returns ``(parts, failures)``: parts in shard order for the
-        deterministic merge, failures the final error of every shard
-        that exhausted its retries (hedge copies included).
-        """
-        failures: List[BaseException] = []
-        parts = []
-        if self._executor is None:
-            for index in range(self._n_shards):
-                try:
-                    parts.append(self._run_shard(query, index, k, budget))
-                except Exception as error:
-                    failures.append(error)
-                    self.metrics.increment("shard_failures")
-                    add_event(
-                        "shard_failed",
-                        shard_offset=self._shard_offsets[index],
-                        error=repr(error),
-                    )
-            return parts, failures
-
-        # Each worker runs under a copy of the caller's context so
-        # trace spans/events recorded on shard threads attach to
-        # this request's scan span (a Context can only be entered
-        # once, hence one copy per future).
-        def submit(index: int) -> "Future":
-            return self._executor.submit(
-                contextvars.copy_context().run,
-                self._run_shard,
-                query,
-                index,
-                k,
-                budget,
-            )
-
-        copies: List[List["Future"]] = [
-            [submit(index)] for index in range(self._n_shards)
-        ]
-        hedge_after = self.resilience.hedge_after_s
-        if hedge_after is not None:
-            _, stragglers = wait(
-                [entry[0] for entry in copies],
-                timeout=min(hedge_after, budget.remaining)
-                if budget.remaining != float("inf")
-                else hedge_after,
-            )
-            if stragglers and not budget.expired:
-                for index, entry in enumerate(copies):
-                    if entry[0] in stragglers:
-                        entry.append(submit(index))
-                        self.metrics.increment("hedges")
-                        add_event("hedge", shard_offset=self._shard_offsets[index])
-        for index, entry in enumerate(copies):
-            result, errors = self._race(entry)
-            if result is None:
-                self.metrics.increment("shard_failures")
-                last = errors[-1] if errors else RuntimeError("shard task lost")
-                failures.append(last)
-                add_event(
-                    "shard_failed",
-                    shard_offset=self._shard_offsets[index],
-                    error=repr(last),
-                )
-            else:
-                parts.append(result)
-        return parts, failures
-
     def _pool_trace(self) -> Optional[Dict[str, object]]:
         """The trace context to ship with worker-pool tasks, if any.
 
@@ -1021,131 +887,6 @@ class RetrievalService:
         if host is not None and spans:
             host.add_foreign(spans)
 
-    def _process_parts(self, query: QueryLike, k: int, budget: DeadlineBudget):
-        """Per-shard results from the worker-process pool.
-
-        Every shard is submitted up front; each worker scans its own
-        read-only mmap of the store file with the shared
-        :func:`~repro.parallel.workers.scan_shard_topk` kernel, so only
-        the encoded query (a few small arrays) and the top-``k`` page
-        cross the process boundary — the feature blocks never do.
-        Results are consumed in shard order, preserving the
-        deterministic merge.
-
-        The parent-side ``shard.scan`` fault point and the retry /
-        backoff discipline wrap each shard's future (a retry resubmits
-        the shard to the pool), so process results obey the same
-        resilience contract as threads.  A worker raising
-        :class:`~repro.store.StoreBlockCorrupt` (pickled across the
-        boundary) is permanent: no resubmission, immediate failure.
-        """
-        assert self._pool is not None
-        payload = encode_query(query)
-        pool = self._pool
-        trace = self._pool_trace()
-        pending: Dict[int, "Future"] = {
-            index: pool.submit(index, payload, k, trace)
-            for index in range(self._n_shards)
-        }
-        failures: List[BaseException] = []
-        parts = []
-        for index in range(self._n_shards):
-            offset = self._shard_offsets[index]
-
-            def attempt(index: int = index, offset: int = offset):
-                fault_point(_SITE_SHARD, key=str(offset))
-                future = pending.pop(index, None)
-                if future is None:  # retry after a failed attempt
-                    future = pool.submit(index, payload, k, trace)
-                return future.result()
-
-            def on_retry(
-                attempt_no: int, error: BaseException, offset: int = offset
-            ) -> None:
-                self.metrics.increment("shard_retries")
-                add_event(
-                    "retry",
-                    stage="shard_scan",
-                    shard_offset=offset,
-                    attempt=attempt_no,
-                    error=repr(error),
-                )
-
-            try:
-                result = retry_call(
-                    attempt,
-                    self.resilience.retry,
-                    deadline=budget,
-                    on_retry=on_retry,
-                )
-            except Exception as error:
-                failures.append(error)
-                self.metrics.increment("shard_failures")
-                add_event("shard_failed", shard_offset=offset, error=repr(error))
-                continue
-            if trace is not None:
-                self._graft_worker_spans(result[4])
-                result = result[:4]
-            parts.append(result)
-            self.metrics.increment("store_block_reads_workers")
-        return parts, failures
-
-    def _sharded_scan(
-        self, query: QueryLike, k: int, budget: Optional[DeadlineBudget] = None
-    ):
-        """Exact top-``k`` by scanning all shards, in parallel when possible.
-
-        Each row's aggregate distance depends on that row alone, so
-        merging per-shard top-k candidates under the deterministic
-        ``(distance, id)`` order equals the single-matrix scan exactly,
-        regardless of thread timing (futures are gathered in shard
-        order) and of how much each shard's progressive filter pruned.
-
-        Resilience: every shard task retries transient errors (see
-        :meth:`_run_shard`); when hedging is enabled, shards still
-        running after ``hedge_after_s`` are re-dispatched to a duplicate
-        task and the copies race.  A shard that still fails is dropped
-        from the merge — the remaining coverage is returned with
-        ``("shard_failed", ...)`` reasons (``"store_block_corrupt"`` for
-        a CRC-quarantined store block, plus ``"deadline"`` when the
-        request budget had expired) for the caller to surface as
-        :class:`~repro.system.ResultQuality`.  Only when *every* shard
-        fails does the query itself fail.
-
-        Returns:
-            ``(ids, distances, reasons)`` — reasons empty for full
-            coverage.
-        """
-        if budget is None:
-            budget = DeadlineBudget(None, clock=self._clock)
-        if self._pool is not None:
-            parts, failures = self._process_parts(query, k, budget)
-        else:
-            parts, failures = self._thread_parts(query, k, budget)
-        if not parts:
-            # Zero coverage is a failed query, not a silently-empty page.
-            assert failures
-            raise failures[-1]
-        reasons: Tuple[str, ...] = ()
-        if failures:
-            tags: List[str] = []
-            if budget.expired:
-                tags.append("deadline")
-            if any(not isinstance(e, StoreBlockCorrupt) for e in failures):
-                tags.append("shard_failed")
-            if any(isinstance(e, StoreBlockCorrupt) for e in failures):
-                tags.append("store_block_corrupt")
-            reasons = tuple(tags)
-        ids = np.concatenate([part[0] for part in parts])
-        distances = np.concatenate([part[1] for part in parts])
-        pruned = sum(part[2] for part in parts)
-        refined = sum(part[3] for part in parts)
-        if pruned:
-            self.metrics.increment("candidates_pruned", int(pruned))
-        self.metrics.increment("candidates_refined", int(refined))
-        top = exact_top_k(distances, min(k, ids.shape[0]), tie_break=ids)
-        return ids[top], distances[top], reasons
-
     # ------------------------------------------------------------------
     # The approximate tier
     # ------------------------------------------------------------------
@@ -1158,27 +899,13 @@ class RetrievalService:
         Returns ``(ids, distances, reasons)`` like the exact scans.  A
         healthy descent yields ``("ann",)``.  When the tier itself
         fails (an injected ``index.descend`` fault, a broken node), the
-        request is re-served by the exact sharded scan and tagged
+        request is re-served by the exact scan and tagged
         ``"ann_fallback"`` on top of whatever the rescue scan reports —
         the page content is then exact, but the stamp says the cheap
         tier misbehaved.
         """
         assert self._spill is not None
-
-        def on_compile_retry(attempt: int, error: BaseException) -> None:
-            self.metrics.increment("compile_retries")
-            add_event("retry", stage="compile", attempt=attempt, error=repr(error))
-
-        retry_call(
-            lambda: ensure_compiled(
-                query,
-                on_event=self._kernel_cache_event,
-                scope=self._dataset_fingerprint,
-            ),
-            self.resilience.retry,
-            deadline=budget,
-            on_retry=on_compile_retry,
-        )
+        self._compile(query, budget)
         self.metrics.increment("ann_scans")
         start = self._clock()
         with self.tracer.span("scan", path="ann", k=k) as span:
@@ -1188,8 +915,8 @@ class RetrievalService:
                 span.set("error", True)
                 self.metrics.increment("ann_fallbacks")
                 add_event("ann_fallback", error=repr(error))
-                ids, distances, reasons = self._sharded_scan(query, k, budget)
-                return ids, distances, tuple(reasons) + ("ann_fallback",)
+                ids, distances, reasons = self._scan([query], [k], [False], budget)[0]
+                return ids, distances, reasons + ("ann_fallback",)
             span.set("candidates", result.n_candidates)
         self.metrics.observe("ann_search", self._clock() - start)
         self.metrics.increment("ann_node_accesses", result.cost.node_accesses)
@@ -1214,17 +941,17 @@ class RetrievalService:
         return self._ann_scan(request.payload, request.k, request.budget)
 
     # ------------------------------------------------------------------
-    # Batched ranking (the micro-batch executor's scan backend)
+    # The exact scan (a solo query is a micro-batch of one)
     # ------------------------------------------------------------------
 
     def _batch_fallback(self, request: BatchRequest):
         """Serial per-query execution when the batch path fails.
 
-        Lossless by construction: the classic sharded scan produces the
-        byte-identical page, so a fault in the batching machinery costs
-        amortization, never correctness.
+        Lossless by construction: the query rescanned as a batch of one
+        produces the byte-identical page, so a fault in the batching
+        machinery costs amortization, never correctness.
         """
-        return self._sharded_scan(request.payload, request.k, request.budget)
+        return self._scan([request.payload], [request.k], [False], request.budget)[0]
 
     def _execute_batch(self, requests: List[BatchRequest]):
         """Run one micro-batch (shared compatibility key) end to end."""
@@ -1234,7 +961,7 @@ class RetrievalService:
         # The batch fights under the most permissive member budget:
         # retries for shared work should not be cut short by the one
         # stingiest request (its own deadline was already honoured at
-        # the queueing cutoff).
+        # the queueing cutoff).  ``None`` means unlimited.
         budget: Optional[DeadlineBudget] = None
         for request in requests:
             if request.budget is None or request.budget.remaining == float("inf"):
@@ -1242,157 +969,142 @@ class RetrievalService:
                 break
             if budget is None or request.budget.remaining > budget.remaining:
                 budget = request.budget
-        if budget is None:
-            budget = DeadlineBudget(None, clock=self._clock)
-        return self._batch_scan(queries, ks, approximate, budget)
+        return self._scan(queries, ks, approximate, budget)
 
-    def _batch_shard_topk(
-        self,
-        queries: Sequence[QueryLike],
-        index: int,
-        ks: Sequence[int],
-        approximate: Sequence[bool],
-        budget: DeadlineBudget,
+    def _scan_shard(
+        self, index: int, attempt: Callable[[int], Any], budget: DeadlineBudget
     ):
-        """One shard scanned once for the whole micro-batch, with retries.
+        """One shard's top-k for the whole micro-batch, with bounded retries.
 
-        Same resilience contract as :meth:`_run_shard`: the
-        ``shard.scan`` fault point fires per attempt, transient errors
-        retry with backoff under the batch budget, and the final error
-        propagates for :meth:`_batch_scan` to absorb as a dropped shard
-        (degrading every page in the batch, never failing it).
+        ``attempt(index)`` scans the shard once (in place or on the
+        worker pool).  The ``shard.scan`` fault point fires before every
+        attempt.  Scanning a read-only shard is idempotent, so transient
+        failures retry with backoff under the budget; permanent errors
+        (a CRC-quarantined store block, also when pickled back from a
+        worker) skip the backoff.  The final error propagates for
+        :meth:`_scan` to absorb as a dropped shard.
         """
         offset = self._shard_offsets[index]
 
-        def attempt():
+        def fire_and_attempt():
             fault_point(_SITE_SHARD, key=str(offset))
-            return scan_shard_topk_batch(
-                queries,
-                self._shard_array(index),
-                offset,
-                ks,
-                coarse=self._shard_coarse(index),
-                approximate=approximate,
-            )
+            return attempt(index)
 
         def on_retry(attempt_no: int, error: BaseException) -> None:
             self.metrics.increment("shard_retries")
             add_event(
                 "retry",
-                stage="batch_shard_scan",
+                stage="shard_scan",
                 shard_offset=offset,
                 attempt=attempt_no,
                 error=repr(error),
             )
 
         return retry_call(
-            attempt, self.resilience.retry, deadline=budget, on_retry=on_retry
+            fire_and_attempt, self.resilience.retry, deadline=budget, on_retry=on_retry
         )
 
-    def _batch_scan(
+    def _scan(
         self,
         queries: Sequence[QueryLike],
         ks: Sequence[int],
         approximate: Sequence[bool],
-        budget: DeadlineBudget,
+        budget: Optional[DeadlineBudget] = None,
     ):
-        """Every query's top-k with each shard read once for the batch.
+        """Every query's exact top-k, each shard read once for the batch.
 
-        Per-shard batched tasks fan out exactly like the solo scan
-        (inline, thread pool, or ``submit_batch`` on the worker-process
-        pool); per-query results then merge across shards in shard
-        order under the ``(distance, id)`` tie-break, so each page is
-        byte-identical to that query's solo :meth:`_sharded_scan`.
+        The one exact scan: executor micro-batches and single queries
+        (a batch of one) alike.  Shards fan out inline, on the thread
+        pool, or to the worker processes; each row's aggregate distance
+        depends on that row alone, so merging per-shard candidates in
+        shard order under the ``(distance, id)`` tie-break equals the
+        single-matrix scan exactly, whatever the backend, the batch
+        mates or how much each shard's progressive filter pruned.
 
         Returns one ``(ids, distances, reasons)`` per query.  A shard
-        dropped after its retries degrades every page in the batch with
-        the same reason tags as the solo path; a query served
-        approximately (load shedding) additionally carries
+        dropped after its retries degrades every page with
+        ``"shard_failed"`` (``"store_block_corrupt"`` for a quarantined
+        store block, plus ``"deadline"`` once the budget expired); only
+        when every shard fails does the scan itself raise.  A query
+        served approximately (load shedding) additionally carries
         ``"overload"``.
         """
-        failures: List[BaseException] = []
-        parts = []  # per surviving shard: one result-tuple list per query
-        if self._pool is not None:
+        if budget is None:
+            budget = DeadlineBudget(None, clock=self._clock)
+        pool = self._pool
+        if pool is not None:
+            # Every shard is in flight before the first is awaited; a
+            # retry resubmits only its shard.  Just the encoded queries
+            # and the top-k pages cross the process boundary.
             payloads = [encode_query(query) for query in queries]
-            pool = self._pool
             trace = self._pool_trace()
-            pending: Dict[int, "Future"] = {
-                index: pool.submit_batch(
-                    index, payloads, list(ks), list(approximate), trace
-                )
-                for index in range(self._n_shards)
-            }
-            for index in range(self._n_shards):
-                offset = self._shard_offsets[index]
 
-                def attempt(index: int = index, offset: int = offset):
-                    fault_point(_SITE_SHARD, key=str(offset))
-                    future = pending.pop(index, None)
-                    if future is None:  # retry after a failed attempt
-                        future = pool.submit_batch(
-                            index, payloads, list(ks), list(approximate), trace
-                        )
-                    return future.result()
+            def submit(index: int) -> "Future":
+                return pool.submit_batch(index, payloads, ks, approximate, trace)
 
-                try:
-                    result = retry_call(
-                        attempt, self.resilience.retry, deadline=budget
-                    )
-                except Exception as error:
-                    failures.append(error)
-                    self.metrics.increment("shard_failures")
-                    add_event(
-                        "shard_failed", shard_offset=offset, error=repr(error)
-                    )
-                    continue
-                if trace is not None:
-                    result, spans = result
-                    self._graft_worker_spans(spans)
-                parts.append(result)
-                self.metrics.increment("store_block_reads_workers")
-        elif self._executor is None or self._n_shards == 1:
-            for index in range(self._n_shards):
-                try:
-                    parts.append(
-                        self._batch_shard_topk(
-                            queries, index, ks, approximate, budget
-                        )
-                    )
-                except Exception as error:
-                    failures.append(error)
-                    self.metrics.increment("shard_failures")
-                    add_event(
-                        "shard_failed",
-                        shard_offset=self._shard_offsets[index],
-                        error=repr(error),
-                    )
+            first = {index: submit(index) for index in range(self._n_shards)}
+
+            def attempt(index: int):
+                future = first.pop(index, None)
+                result = (future if future is not None else submit(index)).result()
+                if trace is None:
+                    return result
+                result, spans = result
+                self._graft_worker_spans(spans)
+                return result
+
         else:
-            futures = [
+
+            def attempt(index: int):
+                return scan_shard_topk_batch(
+                    queries,
+                    self._shard_array(index),
+                    self._shard_offsets[index],
+                    ks,
+                    coarse=self._shard_coarse(index),
+                    approximate=approximate,
+                )
+
+        shards = range(self._n_shards)
+        outcomes: List[Callable[[], Any]]
+        if self._executor is None:
+            outcomes = [
+                functools.partial(self._scan_shard, index, attempt, budget)
+                for index in shards
+            ]
+        else:
+            # Each shard task runs under a copy of the caller's context,
+            # so spans and events recorded on pool threads attach to
+            # this request's trace (a Context can only be entered once).
+            outcomes = [
                 self._executor.submit(
                     contextvars.copy_context().run,
-                    self._batch_shard_topk,
-                    queries,
+                    self._scan_shard,
                     index,
-                    ks,
-                    approximate,
+                    attempt,
                     budget,
-                )
-                for index in range(self._n_shards)
+                ).result
+                for index in shards
             ]
-            for index, future in enumerate(futures):
-                try:
-                    parts.append(future.result())
-                except Exception as error:
-                    failures.append(error)
-                    self.metrics.increment("shard_failures")
-                    add_event(
-                        "shard_failed",
-                        shard_offset=self._shard_offsets[index],
-                        error=repr(error),
-                    )
+        failures: List[BaseException] = []
+        parts = []  # per surviving shard: one result tuple per query
+        for index, outcome in zip(shards, outcomes):
+            try:
+                parts.append(outcome())
+            except Exception as error:
+                failures.append(error)
+                self.metrics.increment("shard_failures")
+                add_event(
+                    "shard_failed",
+                    shard_offset=self._shard_offsets[index],
+                    error=repr(error),
+                )
         if not parts:
+            # Zero coverage is a failed query, not a silently-empty page.
             assert failures
             raise failures[-1]
+        if pool is not None:
+            self.metrics.increment("store_block_reads_workers", len(parts))
         shard_tags: List[str] = []
         if failures:
             if budget.expired:
@@ -1429,10 +1141,9 @@ class RetrievalService:
 
         The deterministic entry point for benchmarks and tests: the
         given queries form exactly one micro-batch regardless of the
-        executor's timing knobs, running the same batched scan the
-        executor dispatches.  Returns one ``(ids, distances, reasons)``
-        tuple per query, each byte-identical to the query's solo
-        sharded scan.
+        executor's timing knobs, running the same scan every exact page
+        goes through.  Returns one ``(ids, distances, reasons)`` tuple
+        per query, each byte-identical to scanning that query alone.
         """
         queries = list(queries)
         if ks is None:
@@ -1445,4 +1156,4 @@ class RetrievalService:
         for query in queries:
             ensure_compiled(query, scope=self._dataset_fingerprint)
         budget = self.resilience.budget(clock=self._clock)
-        return self._batch_scan(queries, ks_list, flags, budget)
+        return self._scan(queries, ks_list, flags, budget)

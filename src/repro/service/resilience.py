@@ -1,17 +1,15 @@
-"""Retry, deadline and hedging discipline for the service's hot paths.
+"""Retry and deadline discipline for the service's hot paths.
 
 Degradation (:mod:`repro.service.degrade`) decides *which path* serves
 a query; this module decides *how hard each stage fights* before giving
 up: bounded exponential-backoff retries for idempotent work (kernel
-compilation, per-shard scans, checkpoint reads), a per-request
-:class:`DeadlineBudget` that caps the total time spent fighting, and
-hedged re-dispatch of straggler shards.
+compilation, per-shard scans, checkpoint reads) and a per-request
+:class:`DeadlineBudget` that caps the total time spent fighting.
 
 Everything retried here is a pure function of immutable inputs —
 compiling a query, scanning a read-only shard, reading a checkpoint
-file — so a retry can never double-apply an effect, and a hedge
-duplicate computes byte-identical data (whichever copy wins, results
-are unchanged).  Retrying non-idempotent stages (feedback absorption,
+file — so a retry can never double-apply an effect and recomputes
+byte-identical data.  Retrying non-idempotent stages (feedback absorption,
 eviction) is deliberately *not* offered.
 """
 
@@ -67,7 +65,7 @@ class DeadlineBudget:
 
     The budget is consulted, never enforced mid-flight: in-progress work
     is not cancelled (results already computed are kept), but once the
-    budget is spent no *further* retries or hedges are launched — the
+    budget is spent no *further* retries are launched — the
     request finishes with whatever coverage it has, explicitly marked.
 
     ``seconds=None`` means unlimited (the default service behaviour).
@@ -104,29 +102,23 @@ class DeadlineBudget:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The service-level knobs: one retry policy, deadlines, hedging.
+    """The service-level knobs: one retry policy and a request deadline.
 
     Attributes:
         retry: backoff policy shared by the idempotent stages (compile,
             shard scan; checkpoint restore uses the store's own copy).
         request_deadline_s: per-request budget for recovery work;
             ``None`` (default) never gives up early.
-        hedge_after_s: re-dispatch shards still running after this many
-            seconds to a duplicate task and race the copies; ``None``
-            (default) disables hedging.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     request_deadline_s: Optional[float] = None
-    hedge_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:
             raise ValueError(
                 f"request_deadline_s must be positive, got {self.request_deadline_s}"
             )
-        if self.hedge_after_s is not None and self.hedge_after_s < 0:
-            raise ValueError(f"hedge_after_s must be non-negative, got {self.hedge_after_s}")
 
     def budget(self, clock: Callable[[], float] = time.monotonic) -> DeadlineBudget:
         """A fresh per-request budget under this policy."""

@@ -38,7 +38,7 @@ class ResultQuality:
 
     Every response carries one of these.  ``exact`` is a guarantee:
     the page is byte-identical to what a fault-free computation over
-    the session's state would produce (recovery — retries, hedges,
+    the session's state would produce (recovery — retries,
     fallback scans — may have happened, but it succeeded completely).
     ``approximate`` means the page was deliberately served by the
     cheap no-backtrack ANN tier (or the session's feedback trajectory

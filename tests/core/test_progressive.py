@@ -266,9 +266,9 @@ class TestConsumerPaths:
         )
         try:
             with use_progressive(True, min_rows=256):
-                fast_ids, fast_distances, _ = service._sharded_scan(query, K)
+                fast_ids, fast_distances, _ = service.scan_batch([query], [K])[0]
             with use_progressive(False):
-                slow_ids, slow_distances, _ = service._sharded_scan(query, K)
+                slow_ids, slow_distances, _ = service.scan_batch([query], [K])[0]
         finally:
             service.shutdown()
         np.testing.assert_array_equal(fast_ids, slow_ids)
@@ -284,7 +284,7 @@ class TestConsumerPaths:
         )
         try:
             with use_progressive(True, min_rows=256):
-                service._sharded_scan(query, K)
+                service.scan_batch([query], [K])
             snapshot = service.metrics.snapshot()
         finally:
             service.shutdown()

@@ -206,8 +206,8 @@ def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
 def test_replay_is_deterministic(database, plan_name):
     """Same plan, same workload → identical pages, qualities, and fires.
 
-    ``slow-shard`` is excluded: latency faults interact with real thread
-    scheduling, so hedge counts may differ run to run (its *pages* are
+    ``slow-shard`` is excluded: latency faults interact with the real
+    clock, so soft-deadline trips may differ run to run (its *pages* are
     still covered by the byte-identical test above).
     """
     if plan_name not in chaos_plan_names():

@@ -67,14 +67,11 @@ class TestResiliencePolicy:
     def test_defaults_are_unlimited(self):
         policy = ResiliencePolicy()
         assert policy.request_deadline_s is None
-        assert policy.hedge_after_s is None
         assert policy.budget().remaining == float("inf")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ResiliencePolicy(request_deadline_s=0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(hedge_after_s=-1)
 
     def test_budget_uses_policy_deadline(self):
         clock = FakeClock()

@@ -134,14 +134,16 @@ class TestShardWorkerPool:
         payload = encode_query(query)
         with ShardWorkerPool(path, n_workers=1) as pool:
             for index in range(store.n_shards):
-                ids, distances, _, _ = pool.run(index, payload, k=5)
+                [(ids, distances, _, _, _)] = pool.submit_batch(
+                    index, [payload], [5], [False]
+                ).result()
                 offset = store.row_offsets[index]
                 expected = scan_shard_topk(query, store.shard(index), offset, 5)
                 np.testing.assert_array_equal(ids, expected[0])
                 np.testing.assert_array_equal(distances, expected[1])
             # A failing task pickles its exception back and is counted.
             with pytest.raises(IndexError):
-                pool.run(99, payload, k=5)
+                pool.submit_batch(99, [payload], [5], [False]).result()
             stats = settled_stats(pool)
             assert stats["workers"] == 1
             assert stats["tasks_completed"] == store.n_shards

@@ -8,6 +8,7 @@ import pytest
 from repro.core.distance import DisjunctiveQuery, QueryPoint
 from repro.core.kernels import KernelCache, ensure_compiled
 from repro.faults import FaultPlan, FaultSpec, activate_faults
+from repro.obs import Tracer
 from repro.service import RetrievalService
 from repro.service.cache import fingerprint_query
 from repro.store import FeatureStore, build_store
@@ -17,6 +18,12 @@ from repro.store import FeatureStore, build_store
 def store_path(tmp_path_factory, database):
     path = tmp_path_factory.mktemp("store") / "svc.qcs"
     return build_store(database, path, n_shards=4)
+
+
+def walk(span):
+    yield span
+    for child in span.get("children", ()):
+        yield from walk(child)
 
 
 def make_query(dim=3):
@@ -83,6 +90,39 @@ class TestMetricsSnapshot:
         assert pool["tasks_completed"] >= 4  # one task per shard
         assert pool["tasks_failed"] == 0
         assert snapshot["counters"]["store_block_reads_workers"] >= 4
+
+
+class TestProcessBackendRetries:
+    def test_batched_worker_retries_are_counted_and_traced(self, store_path):
+        """A transient ``shard.scan`` error on the batched process backend
+        is retried, counted and traced exactly as on the other backends."""
+        tracer = Tracer()
+        # The first attempt of every shard fails once; its retry succeeds.
+        plan = FaultPlan(specs=(FaultSpec("shard.scan", "error", at=(1,)),))
+        with RetrievalService(
+            FeatureStore.open(store_path),
+            k=10,
+            use_index=False,
+            scan_backend="processes",
+            max_workers=1,
+            batching=True,
+            tracer=tracer,
+            cache_size=0,
+        ) as service:
+            session = service.create_session(0)
+            with activate_faults(plan):
+                page = service.query(session)
+            counters = service.metrics_snapshot()["counters"]
+        assert page.quality.is_exact
+        assert counters.get("shard_retries", 0) >= 1
+        stages = [
+            event["fields"].get("stage")
+            for trace in tracer.traces()
+            for span in walk(trace)
+            for event in span.get("events", ())
+            if event["name"] == "retry"
+        ]
+        assert stages and set(stages) == {"shard_scan"}
 
 
 class TestCacheSalting:
