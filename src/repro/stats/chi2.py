@@ -11,6 +11,7 @@ so that ``100 (1 - alpha) %`` of Gaussian-distributed members fall inside.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .special import (
@@ -61,8 +62,16 @@ def chi2_sf(x: float, df: float) -> float:
     return regularized_upper_gamma(0.5 * df, 0.5 * x)
 
 
+@functools.lru_cache(maxsize=256)
 def chi2_ppf(q: float, df: float) -> float:
-    """Quantile function: the ``x`` with ``chi2_cdf(x, df) = q``."""
+    """Quantile function: the ``x`` with ``chi2_cdf(x, df) = q``.
+
+    Memoized: the bisection costs about 0.7 ms of pure Python, and a
+    feedback round asks for the same few ``(1 - alpha, p)`` pairs dozens
+    of times (the classifier's effective radius and every low-mass pair
+    of the merge loop), so an uncached round could hold the interpreter
+    for tens of milliseconds.
+    """
     _validate_df(df)
     return 2.0 * inverse_regularized_lower_gamma(0.5 * df, q)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.stats.chi2 import chi2_cdf, chi2_pdf, chi2_ppf, chi2_sf, effective_radius
+from repro.stats.special import inverse_regularized_lower_gamma
 
 
 class TestChi2Distribution:
@@ -39,6 +40,16 @@ class TestChi2Distribution:
     def test_rejects_bad_df(self):
         with pytest.raises(ValueError):
             chi2_cdf(1.0, 0)
+        with pytest.raises(ValueError):
+            chi2_ppf(0.5, 0)
+
+    def test_ppf_memo_returns_the_bisection(self):
+        # The memo only skips recomputation; it never changes a value.
+        first = chi2_ppf(0.95, 16.0)
+        assert first == 2.0 * inverse_regularized_lower_gamma(8.0, 0.95)
+        hits = chi2_ppf.cache_info().hits
+        assert chi2_ppf(0.95, 16.0) == first
+        assert chi2_ppf.cache_info().hits == hits + 1
 
     @given(hst.integers(min_value=1, max_value=64), hst.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=100, deadline=None)
