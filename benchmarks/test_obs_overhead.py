@@ -126,9 +126,9 @@ class TestDisabledOverhead:
         assert share < OVERHEAD_BUDGET
 
     def test_propagation_and_slo_fit_round_budget(self, color_database):
-        """The distributed-tracing PR's additions ride the same budget:
-        header parse + context adoption + an always-on SLO observation
-        per request, measured against a real feedback round."""
+        """Per-request observability rides the same budget: header parse
+        + context adoption + an always-on SLO observation + one stage
+        histogram observation, measured against a real feedback round."""
         from repro.obs import (
             SLOTracker,
             TraceContext,
@@ -136,12 +136,14 @@ class TestDisabledOverhead:
             current_tracer,
             with_trace_context,
         )
+        from repro.service import ServiceMetrics
 
         headers = {
             "traceparent": f"00-{'ab' * 16}-{'cd' * 8}-01",
             "x-request-id": "bench-req",
         }
         slo = SLOTracker()
+        metrics = ServiceMetrics()
         n = 100_000
         start = time.perf_counter()
         for _ in range(n):
@@ -150,6 +152,7 @@ class TestDisabledOverhead:
                 with current_tracer().span("http_request"):
                     add_event("event", value=1)
             slo.observe("query", 0.001, tenant="bench", exact=True)
+            metrics.observe("query", 0.001)
         per_request = (time.perf_counter() - start) / n
 
         service = RetrievalService(color_database, k=50, cache_size=0)
@@ -164,12 +167,14 @@ class TestDisabledOverhead:
         finally:
             service.shutdown()
 
-        # One request = one header parse, one adoption, one SLO sample —
-        # not one per instrumentation point, so the per-round multiplier
-        # is a handful of requests, budgeted generously at 4.
+        # One request = one header parse, one adoption, one SLO sample,
+        # one stage-histogram sample — not one per instrumentation
+        # point, so the per-round multiplier is a handful of requests,
+        # budgeted generously at 4.
         share = per_request * 4 / round_seconds
         print(
-            f"\npropagation+SLO per request: {per_request * 1e9:.0f} ns; "
+            f"\npropagation+SLO+stage histogram per request: "
+            f"{per_request * 1e9:.0f} ns; "
             f"4 requests/round over a {round_seconds * 1e3:.1f} ms round "
             f"= {share:.4%} overhead"
         )

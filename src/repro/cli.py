@@ -643,26 +643,17 @@ def cmd_obs(args) -> int:
 
 def _render_slo(snapshot) -> str:
     """Human-readable SLO report: latency rows, then burn rates."""
+    from .obs.slo import quantile
+
     lines = ["latency histograms (p50 / p95 / p99, count):"]
     for entry in snapshot["histograms"]:
-        cumulative = entry["counts"]
-        buckets = entry["buckets"]
-        count = entry["count"]
-
-        def quantile(q):
-            if count == 0:
-                return 0.0
-            rank = q * count
-            for bound, seen in zip(buckets, cumulative):
-                if seen >= rank:
-                    return bound
-            return buckets[-1]
-
+        cumulative = [*entry["counts"], entry["count"]]
+        p50, p95, p99 = (
+            quantile(entry["buckets"], cumulative, q) * 1000 for q in (0.5, 0.95, 0.99)
+        )
         label = f"{entry['route']}/{entry['tenant']}/{entry['quality']}"
         lines.append(
-            f"  {label:<32} {quantile(0.5) * 1000:8.2f}ms "
-            f"{quantile(0.95) * 1000:8.2f}ms {quantile(0.99) * 1000:8.2f}ms "
-            f"n={count}"
+            f"  {label:<32} {p50:8.2f}ms {p95:8.2f}ms {p99:8.2f}ms n={entry['count']}"
         )
     if len(lines) == 1:
         lines.append("  (no requests observed)")

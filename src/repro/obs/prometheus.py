@@ -5,20 +5,22 @@ plus a tracer's aggregates into the plain-text exposition format every
 Prometheus-compatible scraper understands:
 
 * counters → ``repro_<name>_total``;
-* per-stage latency summaries → one ``summary`` family
-  ``repro_stage_duration_seconds`` with ``quantile`` labels plus the
-  ``_sum`` / ``_count`` series;
+* per-stage latency → one ``histogram`` family
+  ``repro_stage_duration_seconds`` labelled by ``stage``;
 * derived rates and gauges (cache hit rates, refine fraction, uptime,
   store/cache occupancy) → ``gauge`` families;
 * tracer aggregates → ``repro_span_duration_seconds_total`` /
   ``repro_spans_total`` per span name and ``repro_trace_events_total``
   per algorithmic event name (plus ``repro_tail_sampling_total`` when
   a tail policy is active);
-* SLO layer → ``repro_request_duration_seconds`` fixed-bucket
-  ``histogram`` per route/tenant/quality and the
-  ``repro_slo_error_budget_burn_rate`` gauge per objective/window;
+* SLO layer → ``repro_request_duration_seconds`` ``histogram`` per
+  route/tenant/quality and the ``repro_slo_error_budget_burn_rate``
+  gauge per objective/window;
 * batching fairness → ``repro_batch_queue_wait_seconds`` per-tenant
-  queue-wait summary.
+  queue-wait ``histogram``.
+
+Every latency family shares the one
+:data:`~repro.obs.slo.DEFAULT_BUCKETS` ``le`` ladder.
 
 Everything is generated, never scraped from global state: callers pass
 the snapshot (and optionally the tracer) explicitly, so exposition is
@@ -28,13 +30,11 @@ text-format grammar in ``tests/obs/test_prometheus.py``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from .slo import DEFAULT_BUCKETS
 
 __all__ = ["prometheus_text"]
-
-#: Quantiles exposed per latency stage: the snapshot's nearest-rank
-#: p50/p95 reservoir percentiles.
-_QUANTILES: Tuple[Tuple[str, str], ...] = (("0.5", "p50"), ("0.95", "p95"))
 
 
 def _sanitize_name(name: str) -> str:
@@ -92,6 +92,26 @@ class _Writer:
         return "\n".join(self._lines) + "\n"
 
 
+def _histogram_family(
+    writer: _Writer,
+    family: str,
+    help_text: str,
+    series: Iterable[Tuple[Dict[str, str], Mapping[str, Any]]],
+) -> None:
+    """One ``histogram`` family from labelled histogram snapshots
+    (cumulative ``counts`` on :data:`DEFAULT_BUCKETS`, ``sum``, ``count``)."""
+    writer.family(family, "histogram", help_text)
+    for labels, histogram in series:
+        count = histogram.get("count", 0)
+        for bound, cumulative in zip(DEFAULT_BUCKETS, histogram.get("counts") or []):
+            writer.sample(
+                f"{family}_bucket", cumulative, {**labels, "le": _format_number(bound)}
+            )
+        writer.sample(f"{family}_bucket", count, {**labels, "le": "+Inf"})
+        writer.sample(f"{family}_sum", histogram.get("sum", 0.0), labels)
+        writer.sample(f"{family}_count", count, labels)
+
+
 def prometheus_text(
     snapshot: Dict[str, Any],
     tracer=None,
@@ -123,23 +143,12 @@ def prometheus_text(
 
     latency = snapshot.get("latency", {})
     if latency:
-        family = f"{prefix}_stage_duration_seconds"
-        writer.family(
-            family,
-            "summary",
-            "Per-stage latency: nearest-rank reservoir quantiles plus "
-            "all-time sum and count.",
+        _histogram_family(
+            writer,
+            f"{prefix}_stage_duration_seconds",
+            "Per-stage latency (fixed cumulative buckets).",
+            (({"stage": name}, stage) for name, stage in sorted(latency.items())),
         )
-        for stage, summary in sorted(latency.items()):
-            labels = {"stage": stage}
-            for quantile, key in _QUANTILES:
-                writer.sample(
-                    family, summary.get(key, 0.0), {**labels, "quantile": quantile}
-                )
-            mean = float(summary.get("mean", 0.0))
-            count = float(summary.get("count", 0))
-            writer.sample(f"{family}_sum", mean * count, labels)
-            writer.sample(f"{family}_count", count, labels)
 
     gauges = [
         ("cache_hit_rate", "Result-cache hit rate over the service lifetime."),
@@ -213,56 +222,31 @@ def prometheus_text(
                 writer.sample(name, count, {"tenant": _escape_label(str(tenant))})
         queue_wait = batching.get("queue_wait_by_tenant")
         if isinstance(queue_wait, dict) and queue_wait:
-            family = f"{prefix}_batch_queue_wait_seconds"
-            writer.family(
-                family,
-                "summary",
-                "Per-tenant enqueue-to-dispatch wait in the batching "
-                "executor: recent-reservoir quantiles plus totals.",
+            _histogram_family(
+                writer,
+                f"{prefix}_batch_queue_wait_seconds",
+                "Per-tenant enqueue-to-dispatch wait in the batching executor "
+                "(fixed cumulative buckets).",
+                (
+                    ({"tenant": str(tenant)}, wait)
+                    for tenant, wait in sorted(queue_wait.items())
+                ),
             )
-            for tenant, wait in sorted(queue_wait.items()):
-                labels = {"tenant": str(tenant)}
-                writer.sample(
-                    family, wait.get("p50", 0.0), {**labels, "quantile": "0.5"}
-                )
-                writer.sample(
-                    family, wait.get("p95", 0.0), {**labels, "quantile": "0.95"}
-                )
-                writer.sample(f"{family}_sum", wait.get("sum", 0.0), labels)
-                writer.sample(f"{family}_count", wait.get("count", 0), labels)
 
     slo = snapshot.get("slo")
     if isinstance(slo, dict):
         histograms = slo.get("histograms") or []
         if histograms:
-            family = f"{prefix}_request_duration_seconds"
-            writer.family(
-                family,
-                "histogram",
+            _histogram_family(
+                writer,
+                f"{prefix}_request_duration_seconds",
                 "Request latency by route, tenant and result quality "
                 "(fixed cumulative buckets).",
+                (
+                    ({key: str(row.get(key, "")) for key in ("route", "tenant", "quality")}, row)
+                    for row in histograms
+                ),
             )
-            for row in histograms:
-                labels = {
-                    "route": str(row.get("route", "")),
-                    "tenant": str(row.get("tenant", "")),
-                    "quality": str(row.get("quality", "")),
-                }
-                buckets = row.get("buckets") or []
-                counts = row.get("counts") or []
-                for bound, cumulative in zip(buckets, counts):
-                    writer.sample(
-                        f"{family}_bucket",
-                        cumulative,
-                        {**labels, "le": _format_number(bound)},
-                    )
-                writer.sample(
-                    f"{family}_bucket",
-                    row.get("count", 0),
-                    {**labels, "le": "+Inf"},
-                )
-                writer.sample(f"{family}_sum", row.get("sum", 0.0), labels)
-                writer.sample(f"{family}_count", row.get("count", 0), labels)
         objectives = slo.get("objectives") or []
         if objectives:
             name = f"{prefix}_slo_error_budget_burn_rate"

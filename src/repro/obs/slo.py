@@ -1,20 +1,20 @@
-"""SLO layer: fixed-bucket latency histograms and error-budget burn rates.
+"""Latency layer: fixed-bucket histograms and error-budget burn rates.
 
-The metrics reservoirs (:mod:`repro.service.metrics`) answer "what were
-recent latencies like" with sampled quantiles; an *SLO* needs a
-different shape of answer — cumulative, mergeable, and judged against an
-explicit objective:
+:class:`LatencyHistogram` is the service's only latency store (stage
+latencies, per-tenant queue waits, SLO request durations); every
+percentile shown anywhere is :func:`quantile` over its counts.
 
 * :class:`LatencyHistogram` — classic fixed-bucket (Prometheus
   ``_bucket``/``_sum``/``_count``) latency histogram.  Buckets are
-  log-spaced over 1 ms – 10 s (:data:`DEFAULT_BUCKETS`) and never
-  change at runtime, so scrapes from different processes aggregate by
-  plain addition.
+  log-spaced over 0.1 ms – 10 s (:data:`DEFAULT_BUCKETS`), one constant
+  ladder shared by every histogram, so histograms from different
+  stages, threads or processes aggregate by plain addition.
 * :class:`SLOTracker` — one histogram per ``(route, tenant, quality)``
-  where quality is the request's :class:`~repro.system.ResultQuality`
-  level (``exact`` / ``degraded``) or ``error`` — a degraded page is a
-  different latency population from an exact one and must not pollute
-  its percentiles.
+  where route is ``query`` or ``feedback`` (one observation per served
+  page) and quality is the request's
+  :class:`~repro.system.ResultQuality` level (``exact`` / ``degraded``)
+  or ``error`` — a degraded page is a different latency population from
+  an exact one and must not pollute its percentiles.
 * :class:`SLObjective` — an explicit target ("99% of requests good")
   with *good* defined as non-error and, when ``latency_threshold_s`` is
   set, at/under the threshold.  Per-objective sliding windows yield the
@@ -25,33 +25,41 @@ explicit objective:
   A burn rate of 1.0 spends the budget exactly at the sustainable pace;
   14.4 (the classic fast-burn page threshold) exhausts a 30-day budget
   in ~2 days.  Two windows (5 min, 1 h by default) give the fast/slow
-  alerting pair.
+  alerting pair.  Windows count good/bad requests per clock second, so
+  a window holds at most one slot per second of its horizon whatever
+  the request rate.
 
 Everything is in-process, lock-protected, and cheap: one ``observe``
-call is a bisect plus a few deque appends — it runs on *every* request
-(unlike tracing, there is no sampling; an SLO computed over a sample is
-not an SLO).
+call is a bisect plus a few counter increments — it runs on *every*
+request (unlike tracing, there is no sampling; an SLO computed over a
+sample is not an SLO).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "LatencyHistogram",
     "SLObjective",
     "SLOTracker",
+    "quantile",
 ]
 
 #: Fixed log-spaced latency bucket upper bounds in seconds (an implicit
 #: ``+Inf`` bucket is always appended at exposition time).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
+    0.0001,
+    0.00025,
+    0.0005,
     0.001,
     0.0025,
     0.005,
@@ -68,80 +76,81 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class LatencyHistogram:
-    """A classic cumulative-bucket latency histogram.
+def quantile(buckets: Sequence[float], cumulative: Sequence[int], q: float) -> float:
+    """Bucket-upper-bound estimate of the ``q`` quantile (``q`` in [0, 1]).
 
-    Stores per-bucket (non-cumulative) counts internally; the snapshot
-    emits Prometheus-style *cumulative* counts with the implicit
-    ``+Inf`` bucket equal to the total count.
+    ``cumulative`` holds one cumulative count per bound in ``buckets``
+    plus a last entry for ``+Inf`` (the total).  The nearest rank is
+    ``max(1, ceil(q * n))``, so ``q = 0`` reads the first non-empty
+    bucket.  A quantile in ``+Inf`` reads the last finite bound; an
+    empty histogram reads ``0.0``.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    total = cumulative[-1] if cumulative else 0
+    if total == 0:
+        return 0.0
+    rank = max(1, math.ceil(q * total))
+    for bound, seen in zip(buckets, cumulative):
+        if seen >= rank:
+            return bound
+    return buckets[-1]
+
+
+class LatencyHistogram:
+    """A classic cumulative-bucket latency histogram on :data:`DEFAULT_BUCKETS`.
+
+    Stores per-bucket counts internally; snapshots emit Prometheus-style
+    *cumulative* counts (the implicit ``+Inf`` bucket equals ``count``).
+    One shared ladder means histograms merge by adding counts.
     """
 
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
+    __slots__ = ("_counts", "_sum", "_max", "_lock")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError(f"buckets must be non-empty and ascending, got {buckets}")
-        self.buckets = tuple(float(bound) for bound in buckets)
-        self._counts = [0] * (len(self.buckets) + 1)  # last slot = +Inf
+    def __init__(self) -> None:
+        self._counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # last slot = +Inf
         self._sum = 0.0
-        self._count = 0
+        self._max = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        """Record one latency observation (seconds)."""
+        """Record one latency observation (seconds, finite and >= 0)."""
         value = float(value)
-        index = bisect_left(self.buckets, value)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"latency must be finite and non-negative, got {value}")
+        index = bisect_left(DEFAULT_BUCKETS, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
-            self._count += 1
+            if value > self._max:
+                self._max = value
 
-    @property
-    def count(self) -> int:
-        """Total observations recorded."""
+    def _cumulative(self) -> Tuple[List[int], float, float]:
         with self._lock:
-            return self._count
+            counts = list(self._counts)
+            observed_sum, observed_max = self._sum, self._max
+        return list(accumulate(counts)), observed_sum, observed_max
 
     def quantile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the ``q`` quantile.
-
-        Coarse by design (the histogram's resolution *is* the buckets);
-        returns the last finite bound when the quantile lands in
-        ``+Inf``, and ``0.0`` when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        with self._lock:
-            total = self._count
-            counts = list(self._counts)
-        if total == 0:
-            return 0.0
-        rank = q * total
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return self.buckets[-1]
-        return self.buckets[-1]
+        """Bucket-upper-bound estimate of the ``q`` quantile (:func:`quantile`)."""
+        cumulative, _, _ = self._cumulative()
+        return quantile(DEFAULT_BUCKETS, cumulative, q)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Cumulative-bucket form: the Prometheus exposition input."""
-        with self._lock:
-            counts = list(self._counts)
-            total = self._count
-            observed_sum = self._sum
-        cumulative: List[int] = []
-        running = 0
-        for bucket_count in counts[:-1]:
-            running += bucket_count
-            cumulative.append(running)
+        """Cumulative-bucket form (the Prometheus exposition input) plus
+        ``mean``, bucket-bound ``p50``/``p95`` and ``max``, from one
+        consistent read."""
+        cumulative, observed_sum, observed_max = self._cumulative()
+        count = cumulative[-1]
         return {
-            "buckets": list(self.buckets),
-            "counts": cumulative,  # parallel to buckets; +Inf == count
+            "buckets": list(DEFAULT_BUCKETS),
+            "counts": cumulative[:-1],  # parallel to buckets; +Inf == count
             "sum": observed_sum,
-            "count": total,
+            "count": count,
+            "mean": observed_sum / count if count else 0.0,
+            "p50": quantile(DEFAULT_BUCKETS, cumulative, 0.5),
+            "p95": quantile(DEFAULT_BUCKETS, cumulative, 0.95),
+            "max": observed_max,
         }
 
 
@@ -198,16 +207,36 @@ DEFAULT_WINDOWS: Tuple[float, ...] = (300.0, 3600.0)
 
 @dataclass
 class _Window:
-    """One objective's sliding good/bad record (newest-last deque)."""
+    """One objective's sliding good/bad record as per-second counters.
+
+    ``slots`` holds ``[second, good, bad]`` for each whole clock second
+    that saw a request, oldest first, so a window never holds more than
+    ``ceil(horizon_s)`` slots however many requests it covers.
+    """
 
     horizon_s: float
-    samples: Deque[Tuple[float, bool]] = field(default_factory=deque)
+    slots: Deque[List[int]] = field(default_factory=deque)
 
-    def prune(self, now: float) -> None:
-        cutoff = now - self.horizon_s
-        samples = self.samples
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
+    def add(self, second: int, good: bool) -> None:
+        slots = self.slots
+        if not slots or slots[-1][0] != second:
+            slots.append([second, 0, 0])
+            self.prune(second)
+        slots[-1][1 if good else 2] += 1
+
+    def prune(self, second: int) -> None:
+        """Drop slots that lie wholly outside the last ``horizon_s`` seconds."""
+        cutoff = second - self.horizon_s
+        slots = self.slots
+        while slots and slots[0][0] <= cutoff:
+            slots.popleft()
+
+    def totals(self, second: int) -> Tuple[int, int]:
+        """``(total, bad)`` over the window ending at ``second``."""
+        self.prune(second)
+        good = sum(slot[1] for slot in self.slots)
+        bad = sum(slot[2] for slot in self.slots)
+        return good + bad, bad
 
 
 class SLOTracker:
@@ -218,7 +247,6 @@ class SLOTracker:
             (:data:`DEFAULT_OBJECTIVES` when omitted).
         windows: sliding-window horizons in seconds for burn rates
             (:data:`DEFAULT_WINDOWS` when omitted).
-        buckets: histogram bucket bounds (:data:`DEFAULT_BUCKETS`).
         clock: wall-ish time source, injectable for tests.
     """
 
@@ -226,7 +254,6 @@ class SLOTracker:
         self,
         objectives: Optional[Tuple[SLObjective, ...]] = None,
         windows: Optional[Tuple[float, ...]] = None,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
         clock=time.monotonic,
     ) -> None:
         self.objectives = tuple(objectives) if objectives is not None else DEFAULT_OBJECTIVES
@@ -236,7 +263,6 @@ class SLOTracker:
         names = [objective.name for objective in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {names}")
-        self.buckets = buckets
         self._clock = clock
         self._lock = threading.Lock()
         self._histograms: Dict[Tuple[str, str, str], LatencyHistogram] = {}
@@ -244,6 +270,9 @@ class SLOTracker:
             objective.name: [_Window(horizon_s=horizon) for horizon in self.windows]
             for objective in self.objectives
         }
+
+    def _second(self) -> int:
+        return math.floor(self._clock())
 
     def observe(
         self,
@@ -256,7 +285,7 @@ class SLOTracker:
         """Record one finished request.
 
         Args:
-            route: logical route (``"query"``, ``"feedback"``, ``"page"``).
+            route: logical route (``"query"`` or ``"feedback"``).
             duration_s: wall-clock service time in seconds.
             tenant: owning tenant label.
             exact: the page's :class:`~repro.system.ResultQuality` —
@@ -266,77 +295,68 @@ class SLOTracker:
         """
         quality = "error" if error else ("exact" if exact else "degraded")
         key = (str(route), str(tenant), quality)
-        now = self._clock()
+        second = self._second()
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                histogram = self._histograms[key] = LatencyHistogram(self.buckets)
+                histogram = self._histograms[key] = LatencyHistogram()
             for objective in self.objectives:
                 good = objective.is_good(duration_s, error)
                 for window in self._windows[objective.name]:
-                    window.samples.append((now, good))
-                    window.prune(now)
+                    window.add(second, good)
         histogram.observe(duration_s)
 
-    def burn_rates(self) -> Dict[str, Dict[str, float]]:
-        """``{objective: {"300s": burn_rate, ...}}`` right now.
+    def _window_rows(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
+        """``{objective: {"300s": {total, bad, bad_fraction, burn_rate}}}``.
 
         An empty window burns at 0.0 (no requests spend no budget).
         """
-        now = self._clock()
-        result: Dict[str, Dict[str, float]] = {}
+        second = self._second()
+        result: Dict[str, Dict[str, Dict[str, Any]]] = {}
         with self._lock:
             for objective in self.objectives:
-                budget = 1.0 - objective.target
-                rates: Dict[str, float] = {}
+                rows: Dict[str, Dict[str, Any]] = {}
                 for window in self._windows[objective.name]:
-                    window.prune(now)
-                    total = len(window.samples)
-                    if total == 0:
-                        rates[f"{window.horizon_s:g}s"] = 0.0
-                        continue
-                    bad = sum(1 for _, good in window.samples if not good)
-                    rates[f"{window.horizon_s:g}s"] = (bad / total) / budget
-                result[objective.name] = rates
-        return result
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The full SLO state: exposition + ``/debug/slo`` payload."""
-        with self._lock:
-            histogram_keys = sorted(self._histograms)
-            histograms = {key: self._histograms[key] for key in histogram_keys}
-        histogram_rows = [
-            {
-                "route": route,
-                "tenant": tenant,
-                "quality": quality,
-                **histograms[(route, tenant, quality)].snapshot(),
-            }
-            for route, tenant, quality in histogram_keys
-        ]
-        now = self._clock()
-        objective_rows = []
-        with self._lock:
-            for objective in self.objectives:
-                windows: Dict[str, Dict[str, Any]] = {}
-                for window in self._windows[objective.name]:
-                    window.prune(now)
-                    total = len(window.samples)
-                    bad = sum(1 for _, good in window.samples if not good)
+                    total, bad = window.totals(second)
                     bad_fraction = bad / total if total else 0.0
-                    windows[f"{window.horizon_s:g}s"] = {
+                    rows[f"{window.horizon_s:g}s"] = {
                         "total": total,
                         "bad": bad,
                         "bad_fraction": bad_fraction,
                         "burn_rate": bad_fraction / (1.0 - objective.target),
                     }
-                objective_rows.append(
-                    {
-                        "name": objective.name,
-                        "target": objective.target,
-                        "latency_threshold_s": objective.latency_threshold_s,
-                        "description": objective.description,
-                        "windows": windows,
-                    }
-                )
+                result[objective.name] = rows
+        return result
+
+    def burn_rates(self) -> Dict[str, Dict[str, float]]:
+        """``{objective: {"300s": burn_rate, ...}}`` right now."""
+        return {
+            name: {window: row["burn_rate"] for window, row in rows.items()}
+            for name, rows in self._window_rows().items()
+        }
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The full SLO state: exposition + ``/debug/slo`` payload."""
+        with self._lock:
+            histograms = sorted(self._histograms.items())
+        histogram_rows = [
+            {
+                "route": route,
+                "tenant": tenant,
+                "quality": quality,
+                **histogram.snapshot(),
+            }
+            for (route, tenant, quality), histogram in histograms
+        ]
+        windows = self._window_rows()
+        objective_rows = [
+            {
+                "name": objective.name,
+                "target": objective.target,
+                "latency_threshold_s": objective.latency_threshold_s,
+                "description": objective.description,
+                "windows": windows[objective.name],
+            }
+            for objective in self.objectives
+        ]
         return {"histograms": histogram_rows, "objectives": objective_rows}

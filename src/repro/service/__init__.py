@@ -38,7 +38,7 @@ from .batching import BatchingConfig, BatchingExecutor, compatibility_key
 from .cache import ResultCache, fingerprint_query
 from .degrade import EXACT_QUALITY, DegradationPolicy, ResultQuality, SessionGuard
 from .engine import RetrievalService
-from .metrics import LatencyStage, ServiceMetrics, percentile
+from .metrics import ServiceMetrics, percentile
 from .resilience import DeadlineBudget, ResiliencePolicy, RetryPolicy, retry_call
 from .server import RetrievalServer, closed_loop_load
 from .sessions import (
@@ -70,6 +70,5 @@ __all__ = [
     "DeadlineBudget",
     "retry_call",
     "ServiceMetrics",
-    "LatencyStage",
     "percentile",
 ]

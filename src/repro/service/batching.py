@@ -62,6 +62,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from ..core.kernels import CompiledQuery
 from ..faults.inject import fault_point, register_site
 from ..obs import current_span, current_tracer
+from ..obs.slo import LatencyHistogram
 from .metrics import percentile
 from .resilience import DeadlineBudget
 
@@ -222,10 +223,9 @@ class BatchingExecutor:
         self._peak_pending = 0
         self._served_by_tenant: Dict[str, int] = {}
         self._recent_sizes: Deque[int] = deque(maxlen=_SIZE_RESERVOIR)
-        # Per-tenant enqueue->dispatch waits: lifetime count/sum plus a
-        # recent reservoir for the summary quantiles.  A fairness
-        # regression shows up here long before batch sizes move.
-        self._wait_by_tenant: Dict[str, Dict[str, Any]] = {}
+        # Per-tenant enqueue->dispatch waits.  A fairness regression
+        # shows up here long before batch sizes move.
+        self._wait_by_tenant: Dict[str, LatencyHistogram] = {}
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-batcher", daemon=True
         )
@@ -341,14 +341,8 @@ class BatchingExecutor:
                 request.queue_wait = max(0.0, now - request.arrival)
                 wait = self._wait_by_tenant.get(tenant)
                 if wait is None:
-                    wait = self._wait_by_tenant[tenant] = {
-                        "count": 0,
-                        "sum": 0.0,
-                        "recent": deque(maxlen=_SIZE_RESERVOIR),
-                    }
-                wait["count"] += 1
-                wait["sum"] += request.queue_wait
-                wait["recent"].append(request.queue_wait)
+                    wait = self._wait_by_tenant[tenant] = LatencyHistogram()
+                wait.observe(request.queue_wait)
                 batch.append(request)
                 self._last_tenant = tenant
                 self._served_by_tenant[tenant] = (
@@ -493,23 +487,14 @@ class BatchingExecutor:
         ``{submitted, batches, batched_queries, queue_depth,
         peak_queue_depth, shed, fallbacks, mean_batch_size,
         p50_batch_size, max_batch_size, tenants_served,
-        queue_wait_by_tenant}`` — the last maps each tenant to its
-        enqueue-to-dispatch wait ``{count, sum, p50, p95}`` (quantiles
-        over a recent reservoir, sum/count over the lifetime).
+        queue_wait_by_tenant}`` — the last maps each tenant to the
+        :meth:`~repro.obs.slo.LatencyHistogram.snapshot` of its
+        enqueue-to-dispatch waits.
         """
         with self._cond:
             sizes = list(self._recent_sizes)
             queue_wait = {
-                tenant: {
-                    "count": wait["count"],
-                    "sum": wait["sum"],
-                    "p50": percentile(list(wait["recent"]), 50.0)
-                    if wait["recent"]
-                    else 0.0,
-                    "p95": percentile(list(wait["recent"]), 95.0)
-                    if wait["recent"]
-                    else 0.0,
-                }
+                tenant: wait.snapshot()
                 for tenant, wait in sorted(self._wait_by_tenant.items())
             }
             return {

@@ -7,9 +7,9 @@ both behind one thread-safe object with a plain-dict :meth:`snapshot`
 so the CLI, benchmarks and external scrapers need no special client.
 
 Everything is in-process and allocation-light: counters are plain
-integers under a lock, and each latency stage keeps a bounded ring
-buffer of recent observations (old samples age out, so percentiles
-track current behaviour rather than cold-start transients).
+integers under a lock, and each latency stage is one fixed-bucket
+:class:`~repro.obs.slo.LatencyHistogram`, the store ``/metrics``
+renders too.
 """
 
 from __future__ import annotations
@@ -17,15 +17,20 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, Sequence
+from typing import Dict, Iterator, Sequence
 
-__all__ = ["percentile", "LatencyStage", "ServiceMetrics"]
+from ..obs.slo import LatencyHistogram
+
+__all__ = ["percentile", "ServiceMetrics"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (``q`` in [0, 100]).
+
+    For exact statistics over samples the caller already holds (a load
+    generator's client latencies, batch sizes); service latencies live
+    in :class:`~repro.obs.slo.LatencyHistogram` instead.
 
     The nearest-rank method never interpolates, so the reported value is
     always an observed latency — the convention operators expect from a
@@ -43,57 +48,21 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[rank - 1])
 
 
-class LatencyStage:
-    """Bounded reservoir of latency observations for one pipeline stage.
-
-    Args:
-        reservoir_size: how many recent observations feed the
-            percentiles; the count and sum cover *all* observations.
-    """
-
-    def __init__(self, reservoir_size: int = 4096) -> None:
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be at least 1, got {reservoir_size}")
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self._recent: Deque[float] = deque(maxlen=reservoir_size)
-
-    def observe(self, seconds: float) -> None:
-        """Record one observation (in seconds)."""
-        if seconds < 0:
-            raise ValueError(f"latency must be non-negative, got {seconds}")
-        self.count += 1
-        self.total += seconds
-        if seconds > self.max:
-            self.max = seconds
-        self._recent.append(seconds)
-
-    def summary(self) -> Dict[str, float]:
-        """``{count, mean, p50, p95, max}`` over the stage so far."""
-        recent = list(self._recent)
-        return {
-            "count": self.count,
-            "mean": self.total / self.count if self.count else 0.0,
-            "p50": percentile(recent, 50.0) if recent else 0.0,
-            "p95": percentile(recent, 95.0) if recent else 0.0,
-            "max": self.max,
-        }
-
-
 class ServiceMetrics:
     """Thread-safe counters plus per-stage latency histograms.
+
+    ``snapshot()["latency"][stage]`` is the stage histogram's
+    :meth:`~repro.obs.slo.LatencyHistogram.snapshot`.
 
     All mutating methods may be called concurrently from request
     threads; :meth:`snapshot` returns an isolated plain dict safe to
     serialize or print.
     """
 
-    def __init__(self, reservoir_size: int = 4096, clock=time.monotonic) -> None:
+    def __init__(self, clock=time.monotonic) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._stages: Dict[str, LatencyStage] = {}
-        self._reservoir_size = reservoir_size
+        self._stages: Dict[str, LatencyHistogram] = {}
         self._clock = clock
         self._started = clock()
 
@@ -125,11 +94,12 @@ class ServiceMetrics:
             return self._counters.get(name, 0)
 
     def observe(self, stage: str, seconds: float) -> None:
-        """Record one latency observation for ``stage``."""
-        with self._lock:
-            if stage not in self._stages:
-                self._stages[stage] = LatencyStage(self._reservoir_size)
-            self._stages[stage].observe(seconds)
+        """Record one latency observation (seconds, >= 0) for ``stage``."""
+        histogram = self._stages.get(stage)
+        if histogram is None:
+            with self._lock:
+                histogram = self._stages.setdefault(stage, LatencyHistogram())
+        histogram.observe(seconds)
 
     @contextmanager
     def time(self, stage: str) -> Iterator[None]:
@@ -153,7 +123,8 @@ class ServiceMetrics:
         """Plain-dict view: counters, latency summaries, derived rates."""
         with self._lock:
             counters = dict(self._counters)
-            latency = {name: stage.summary() for name, stage in self._stages.items()}
+            stages = dict(self._stages)
+        latency = {name: histogram.snapshot() for name, histogram in stages.items()}
         hits = counters.get("cache_hits", 0)
         misses = counters.get("cache_misses", 0)
         total = hits + misses

@@ -467,28 +467,9 @@ class RetrievalServer:
             k = int(query["k"]) if "k" in query else None
             approximate = query.get("approximate", "").lower() in ("1", "true", "yes")
 
-            def fetch_page():
-                # The "page" route gets its own SLO observation: it is
-                # the latency the *client* saw at this edge, distinct
-                # from the engine's internal "query" accounting.
-                start = time.monotonic()
-                tenant = self.service.tenant_of(session_id)
-                try:
-                    page = self.service.query(session_id, k, approximate=approximate)
-                except BaseException:
-                    self.service.slo.observe(
-                        "page", time.monotonic() - start, tenant=tenant, error=True
-                    )
-                    raise
-                self.service.slo.observe(
-                    "page",
-                    time.monotonic() - start,
-                    tenant=tenant,
-                    exact=page.quality.is_exact,
-                )
-                return page
-
-            page = await call(fetch_page)
+            page = await call(
+                lambda: self.service.query(session_id, k, approximate=approximate)
+            )
             return 200, _page_payload(page)
         if len(path) == 3 and path[0] == "sessions" and path[2] == "feedback":
             if method != "POST":

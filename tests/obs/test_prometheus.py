@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro.obs import Tracer, prometheus_text
+from repro.obs import DEFAULT_BUCKETS, Tracer, prometheus_text
 from repro.service import ServiceMetrics
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -71,6 +71,10 @@ def parse_exposition(text: str):
     return families
 
 
+#: The ``le`` label sequence every latency histogram series carries.
+LE_LADDER = [f"{bound:g}" for bound in DEFAULT_BUCKETS] + ["+Inf"]
+
+
 def make_snapshot():
     metrics = ServiceMetrics()
     metrics.increment("queries", 7)
@@ -115,18 +119,22 @@ class TestValues:
         assert samples["queries"] == "7"
         assert samples["cache_hits"] == "3"
 
-    def test_summary_quantiles_sum_count(self):
+    def test_stage_histogram_buckets_sum_count(self):
         families = parse_exposition(prometheus_text(make_snapshot()))
-        samples = families["repro_stage_duration_seconds"]["samples"]
-        assert families["repro_stage_duration_seconds"]["type"] == "summary"
+        family = families["repro_stage_duration_seconds"]
+        assert family["type"] == "histogram"
         by_name = {}
-        for name, labels, value in samples:
+        for name, labels, value in family["samples"]:
             by_name.setdefault(name, []).append((labels, value))
-        quantiles = {
-            labels["quantile"]
-            for labels, _ in by_name["repro_stage_duration_seconds"]
-        }
-        assert quantiles == {"0.5", "0.95"}
+        buckets = by_name["repro_stage_duration_seconds_bucket"]
+        assert [labels["le"] for labels, _ in buckets] == LE_LADDER
+        assert all(labels["stage"] == "query" for labels, _ in buckets)
+        cumulative = [float(value) for _, value in buckets]
+        assert cumulative == sorted(cumulative)
+        # 10/20/30/40 ms: two at le=0.025, all four at le=0.05.
+        by_le = {labels["le"]: float(value) for labels, value in buckets}
+        assert (by_le["0.01"], by_le["0.025"], by_le["0.05"]) == (1.0, 2.0, 4.0)
+        assert by_le["+Inf"] == 4.0
         (labels, count) = by_name["repro_stage_duration_seconds_count"][0]
         assert labels == {"stage": "query"}
         assert float(count) == 4.0
@@ -331,3 +339,45 @@ class TestBatchingFamilies:
         assert families["repro_batched_queries_total"]["samples"][0][2] == "1"
         tenant_samples = families["repro_batch_tenant_queries_total"]["samples"]
         assert tenant_samples[0][1] == {"tenant": "acme"}
+
+
+class TestLatencyFamilies:
+    def test_every_latency_family_is_a_histogram_on_one_ladder(self, two_blob_data):
+        """Stage latency, batch queue wait and request duration all come
+        from the same histograms: TYPE histogram, identical le bounds."""
+        from repro.retrieval import FeatureDatabase
+        from repro.service import BatchingConfig, RetrievalService
+
+        vectors, labels = two_blob_data
+        with RetrievalService(
+            FeatureDatabase(vectors, labels),
+            k=5,
+            use_index=False,
+            n_shards=1,
+            batching=BatchingConfig(max_batch=4, max_wait_s=0.001),
+        ) as service:
+            session_id = service.create_session(0, tenant="acme")
+            service.query(session_id)
+            service.feedback(session_id, [0, 1])
+            families = parse_exposition(service.prometheus_metrics())
+        latency_families = [
+            name
+            for name in families
+            if name.endswith("_seconds") and name != "repro_uptime_seconds"
+        ]
+        assert set(latency_families) == {
+            "repro_stage_duration_seconds",
+            "repro_batch_queue_wait_seconds",
+            "repro_request_duration_seconds",
+        }
+        for name in latency_families:
+            family = families[name]
+            assert family["type"] == "histogram", name
+            series = {}
+            for sample, labels, value in family["samples"]:
+                if sample.endswith("_bucket"):
+                    key = tuple(sorted((k, v) for k, v in labels.items() if k != "le"))
+                    series.setdefault(key, []).append(labels["le"])
+            assert series, name
+            for ladder in series.values():
+                assert ladder == LE_LADDER, name

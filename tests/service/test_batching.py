@@ -234,7 +234,7 @@ class TestQueueWaitAccounting:
             stats = executor.stats()
         text = prometheus_text({"batching": stats})
         assert 'repro_batch_queue_wait_seconds_count{tenant="acme"} 1' in text
-        assert 'repro_batch_queue_wait_seconds{quantile="0.5",tenant="acme"}' in text
+        assert 'repro_batch_queue_wait_seconds_bucket{le="+Inf",tenant="acme"} 1' in text
 
 
 class TestTenantFairness:

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.service import LatencyStage, ServiceMetrics, percentile
+from repro.service import ServiceMetrics, percentile
 
 
 class TestPercentile:
@@ -59,31 +59,6 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
 
-class TestLatencyStage:
-    def test_summary_tracks_all_observations(self):
-        stage = LatencyStage()
-        for value in (0.1, 0.2, 0.3):
-            stage.observe(value)
-        summary = stage.summary()
-        assert summary["count"] == 3
-        assert summary["mean"] == pytest.approx(0.2)
-        assert summary["p50"] == pytest.approx(0.2)
-        assert summary["max"] == pytest.approx(0.3)
-
-    def test_reservoir_ages_out_but_count_does_not(self):
-        stage = LatencyStage(reservoir_size=2)
-        for value in (1.0, 2.0, 3.0):
-            stage.observe(value)
-        summary = stage.summary()
-        assert summary["count"] == 3
-        # Percentiles see only the two most recent observations.
-        assert summary["p50"] == pytest.approx(2.0)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStage().observe(-0.1)
-
-
 class TestServiceMetrics:
     def test_counters_default_to_zero(self):
         assert ServiceMetrics().counter("nonexistent") == 0
@@ -96,12 +71,45 @@ class TestServiceMetrics:
 
     def test_timer_context_observes_stage(self):
         # First tick is consumed by the constructor's uptime clock.
-        ticks = iter([0.0, 1.0, 2.5])
+        ticks = iter([0.0, 1.0, 2.5, 3.0])  # the last feeds snapshot's uptime
         metrics = ServiceMetrics(clock=lambda: next(ticks))
         with metrics.time("query"):
             pass
-        summary = metrics._stages["query"].summary()
-        assert summary["p50"] == pytest.approx(1.5)
+        summary = metrics.snapshot()["latency"]["query"]
+        assert summary["count"] == 1
+        assert summary["max"] == pytest.approx(1.5)
+        # Percentiles are bucket upper bounds: 1.5 s lands in le=2.5.
+        assert summary["p50"] == pytest.approx(2.5)
+
+    def test_summary_tracks_all_observations(self):
+        metrics = ServiceMetrics()
+        for value in (0.1, 0.2, 0.3):
+            metrics.observe("query", value)
+        summary = metrics.snapshot()["latency"]["query"]
+        assert {"count", "mean", "p50", "p95", "max"} <= set(summary)
+        assert summary["count"] == 3
+        assert summary["mean"] == pytest.approx(0.2)
+        assert summary["p50"] == pytest.approx(0.25)
+        assert summary["p95"] == pytest.approx(0.5)
+        assert summary["max"] == pytest.approx(0.3)
+
+    def test_count_and_mean_cover_the_whole_lifetime(self):
+        """No sample ages out: count, mean and max are exact over every
+        observation, however many there are."""
+        metrics = ServiceMetrics()
+        for _ in range(10_000):
+            metrics.observe("query", 0.001)
+        metrics.observe("query", 2.0)
+        summary = metrics.snapshot()["latency"]["query"]
+        assert summary["count"] == 10_001
+        assert summary["mean"] == pytest.approx((10.0 + 2.0) / 10_001)
+        assert summary["max"] == pytest.approx(2.0)
+        assert summary["p50"] == pytest.approx(0.001)
+
+    def test_negative_latency_rejected(self):
+        metrics = ServiceMetrics()
+        with pytest.raises(ValueError):
+            metrics.observe("query", -0.1)
 
     def test_cache_hit_rate(self):
         metrics = ServiceMetrics()
@@ -171,7 +179,7 @@ class TestServiceMetrics:
     def test_snapshot_races_mutators_without_error(self):
         """Racing observe/increment/snapshot threads never raise, and
         counters sum exactly once the mutators finish."""
-        metrics = ServiceMetrics(reservoir_size=64)
+        metrics = ServiceMetrics()
         stop = threading.Event()
         errors = []
 

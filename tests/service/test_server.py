@@ -277,7 +277,7 @@ class TestSLOEndpoint:
         page_rows = [
             entry
             for entry in body["histograms"]
-            if entry["route"] == "page" and entry["tenant"] == "slo-co"
+            if entry["route"] == "query" and entry["tenant"] == "slo-co"
         ]
         assert page_rows and page_rows[0]["count"] >= 1
         call(conn, "DELETE", f"/sessions/{session_id}")
@@ -290,6 +290,126 @@ class TestSLOEndpoint:
         assert b"repro_request_duration_seconds_bucket" in raw
         assert b"repro_slo_error_budget_burn_rate" in raw
         call(conn, "DELETE", f"/sessions/{session_id}")
+
+
+class TestSLOCountsOncePerRequest:
+    def test_page_and_feedback_count_once_each(self, database):
+        """One page GET plus one feedback POST is two requests in every
+        burn-rate window: the engine's query/feedback routes are the
+        only SLO observations, so a page is not counted twice."""
+        with RetrievalService(
+            database, k=5, use_index=False, n_shards=1
+        ) as service:
+            server = RetrievalServer(service, port=0, max_concurrent=4)
+            host, port = server.start_in_background()
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                _, created = call(conn, "POST", "/sessions", {"query": 3})
+                session_id = created["session_id"]
+                status, page = call(conn, "GET", f"/sessions/{session_id}/page")
+                assert status == 200
+                status, _ = call(
+                    conn,
+                    "POST",
+                    f"/sessions/{session_id}/feedback",
+                    {"relevant_ids": page["ids"][:2]},
+                )
+                assert status == 200
+                status, body = call(conn, "GET", "/debug/slo")
+            finally:
+                conn.close()
+                server.stop_background()
+        assert status == 200
+        for objective in body["objectives"]:
+            for window, stats in objective["windows"].items():
+                assert stats["total"] == 2, (objective["name"], window)
+        routes = {entry["route"]: entry["count"] for entry in body["histograms"]}
+        assert routes == {"query": 1, "feedback": 1}
+
+
+class TestStatsContract:
+    """The ``/stats`` fields the committed benchmark's ledger
+    (``bench/ledger.py``: ``flatten_stats`` / ``counter_metrics``) reads."""
+
+    @staticmethod
+    def drive_one_session(service):
+        server = RetrievalServer(service, port=0, max_concurrent=4)
+        host, port = server.start_in_background()
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            _, created = call(conn, "POST", "/sessions", {"query": 7})
+            session_id = created["session_id"]
+            _, page = call(conn, "GET", f"/sessions/{session_id}/page")
+            for _ in range(2):
+                _, page = call(
+                    conn,
+                    "POST",
+                    f"/sessions/{session_id}/feedback",
+                    {"relevant_ids": page["ids"][:3]},
+                )
+            status, stats = call(conn, "GET", "/stats")
+        finally:
+            conn.close()
+            server.stop_background()
+        assert status == 200
+        return stats
+
+    def test_index_search_count_equals_index_searches(self, database, monkeypatch):
+        from repro.index.multipoint import MultipointSearcher
+
+        searches = []
+        original = MultipointSearcher.search
+
+        def counting_search(self, *args, **kwargs):
+            searches.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultipointSearcher, "search", counting_search)
+        with RetrievalService(database, k=5, use_index=True, n_shards=1) as service:
+            stats = self.drive_one_session(service)
+        assert len(searches) == 3
+        assert stats["latency"]["index_search"]["count"] == len(searches)
+        counters = stats["counters"]
+        # index.node_accesses_per_round / index.io_accesses_per_round.
+        assert counters["index_node_accesses"] > 0
+        assert counters["index_io_accesses"] > 0
+        for key in ("cache_misses", "kernel_cache_misses", "candidates_refined"):
+            assert key in counters, key
+
+    def test_store_worker_and_batching_sections_carry_ledger_keys(self, tmp_path):
+        import numpy as np
+
+        from repro.store import FeatureStore, build_store
+
+        rng = np.random.default_rng(11)
+        path = build_store(rng.normal(size=(256, 8)), tmp_path / "c.qcs", n_shards=2)
+        with RetrievalService(
+            FeatureStore.open(path),
+            k=5,
+            use_index=False,
+            scan_backend="processes",
+            batching=True,
+        ) as service:
+            stats = self.drive_one_session(service)
+        for section, keys in (
+            ("worker_pool", ("tasks_completed", "tasks_failed")),
+            ("feature_store", ("block_reads",)),
+            ("batching", ("batches", "batched_queries", "shed", "fallbacks")),
+        ):
+            for key in keys:
+                assert isinstance(stats[section][key], (int, float)), (section, key)
+        assert stats["worker_pool"]["tasks_completed"] > 0
+        assert stats["batching"]["batched_queries"] == 3
+        counters = stats["counters"]
+        for key in (
+            "cache_misses",
+            "fallback_scans",
+            "kernel_cache_misses",
+            "candidates_refined",
+            "store_block_reads_workers",
+        ):
+            assert key in counters, key
+        assert stats["latency"]["fallback_scan"]["count"] == counters["fallback_scans"]
 
 
 class TestLifecycle:
