@@ -664,31 +664,32 @@ def ensure_compiled(
         return compiled
     if cache is None:
         cache = _DEFAULT_CACHE
-    fingerprint = fingerprint_cluster_state(query)
-    cache_key = fingerprint if scope is None else f"{fingerprint}|{scope}"
+    # A memo miss is a traced stage of its own: fingerprinting the
+    # cluster state, the cache consult and, on a genuine miss, the
+    # compilation (Cholesky factorization, kernel selection, fusion
+    # layout).
+    with current_tracer().span("compile", points=len(query.points)) as span:
+        fingerprint = fingerprint_cluster_state(query)
+        span.set("fingerprint", fingerprint)
+        cache_key = fingerprint if scope is None else f"{fingerprint}|{scope}"
 
-    def _compile() -> CompiledQuery:
-        # A genuine miss: the compilation (Cholesky factorization, kernel
-        # selection, fusion layout) is a traced stage of its own.
-        with current_tracer().span(
-            "compile", fingerprint=fingerprint, points=len(query.points)
-        ) as span:
-            built = compile_query(query, fingerprint=fingerprint)
-            span.set("kinds", sorted({kernel.kind for kernel in built.kernels}))
-            return built
+        def _observe(event: str) -> None:
+            # One "hits"/"misses" event per cache consult — mirrored to the
+            # ambient trace so operators can see cache behaviour per round.
+            add_event(
+                "kernel_cache",
+                outcome="hit" if event == "hits" else "miss",
+                fingerprint=fingerprint,
+            )
+            if on_event is not None:
+                on_event(event)
 
-    def _observe(event: str) -> None:
-        # One "hits"/"misses" event per cache consult — mirrored to the
-        # ambient trace so operators can see cache behaviour per round.
-        add_event(
-            "kernel_cache",
-            outcome="hit" if event == "hits" else "miss",
-            fingerprint=fingerprint,
+        compiled = cache.get_or_create(
+            cache_key,
+            lambda: compile_query(query, fingerprint=fingerprint),
+            on_event=_observe,
         )
-        if on_event is not None:
-            on_event(event)
-
-    compiled = cache.get_or_create(cache_key, _compile, on_event=_observe)
+        span.set("kinds", sorted({kernel.kind for kernel in compiled.kernels}))
     try:
         object.__setattr__(query, _MEMO_ATTRIBUTE, compiled)
     except (AttributeError, TypeError):  # __slots__ or exotic query types

@@ -20,7 +20,7 @@ that later rounds and the quality measure retain them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,20 @@ from .cluster import Cluster
 from .covariance import CovarianceScheme, DiagonalScheme
 
 __all__ = ["MergeRecord", "ClusterMerger", "pairwise_merge_test"]
+
+
+def _pooled_t2(cluster_i: Cluster, cluster_j: Cluster, scheme: CovarianceScheme) -> float:
+    """``T^2`` of Equation 14 under the pair's own pooled covariance (Eq. 15)."""
+    total_weight = cluster_i.weight + cluster_j.weight
+    pooled = (cluster_i.scatter + cluster_j.scatter) / total_weight
+    pooled_inverse = scheme.invert(pooled).inverse
+    return hotelling_t2(
+        cluster_i.centroid,
+        cluster_j.centroid,
+        pooled_inverse,
+        cluster_i.weight,
+        cluster_j.weight,
+    )
 
 
 def pairwise_merge_test(
@@ -49,16 +63,7 @@ def pairwise_merge_test(
         scheme = DiagonalScheme()
     if cluster_i.dimension != cluster_j.dimension:
         raise ValueError("clusters disagree on dimensionality")
-    total_weight = cluster_i.weight + cluster_j.weight
-    pooled = (cluster_i.scatter + cluster_j.scatter) / total_weight
-    pooled_inverse = scheme.invert(pooled).inverse
-    statistic = hotelling_t2(
-        cluster_i.centroid,
-        cluster_j.centroid,
-        pooled_inverse,
-        cluster_i.weight,
-        cluster_j.weight,
-    )
+    statistic = _pooled_t2(cluster_i, cluster_j, scheme)
     critical = critical_distance(
         cluster_i.dimension, cluster_i.weight, cluster_j.weight, significance_level
     )
@@ -67,8 +72,19 @@ def pairwise_merge_test(
         critical=critical,
         reject_equal_means=statistic > critical,
         df1=float(cluster_i.dimension),
-        df2=total_weight - cluster_i.dimension - 1.0,
+        df2=cluster_i.weight + cluster_j.weight - cluster_i.dimension - 1.0,
     )
+
+
+class _Pair(NamedTuple):
+    """One pair's alpha-free merge statistic and what its critical needs."""
+
+    first: int
+    second: int
+    statistic: float
+    weight_i: float
+    weight_j: float
+    df2: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,7 @@ class ClusterMerger:
             line 8 "increase critical distance using alpha").
         low_power_margin: slack multiplier on the chi-square radius used
             for pairs whose mass is too small for the F test (see
-            ``_pair_result``).
+            ``_pair_statistics``).
     """
 
     def __init__(
@@ -143,7 +159,7 @@ class ClusterMerger:
         """Inverse of the all-cluster pooled covariance (prior information).
 
         Used as the reference scale for pairs whose combined relevance
-        mass is too small for the F test (``m_i + m_j <= p + 1``): the
+        mass is too small for the F test (``m_i + m_j - p - 1 < p``): the
         paper's framework treats previous-iteration statistics as priors,
         and the pooled within-cluster covariance of *all* clusters is the
         best available estimate of the local data scale.
@@ -156,69 +172,72 @@ class ClusterMerger:
             total_weight += cluster.weight
         return self.scheme.invert(total_scatter / total_weight).inverse
 
-    def _pair_result(
-        self,
-        cluster_i: Cluster,
-        cluster_j: Cluster,
-        alpha: float,
-        global_inverse: np.ndarray,
-    ) -> HotellingResult:
-        """Merge test for one pair, robust to low-mass clusters.
+    def _pair_statistics(self, clusters: Sequence[Cluster]) -> List[_Pair]:
+        """Every pair's merge statistic, in ``(i, j)`` order.
 
-        When the pair's combined relevance mass gives the F test real
-        power (``m_i + m_j - p - 1 >= p``), this is exactly Equation 16.
+        No statistic depends on alpha, so one cluster list is scored once
+        and every alpha relaxation reuses the scores.  The branch is
+        picked from the masses before any work is done:
 
-        Below that, the pair's own scatter is uninformative and the F
-        quantile explodes (with one denominator degree of freedom the
-        99.9th percentile is ~10^5, accepting arbitrarily distant pairs),
-        so the decision falls back to an *effective-radius* criterion in
-        the spirit of Lemma 1: merge only if the centroid separation,
-        measured in the global pooled within-cluster covariance, is
-        within ``low_power_margin * chi2_p(1 - alpha)``.  The margin
-        absorbs the scatter deflation that hierarchical splitting of one
-        mode introduces; distant modes exceed the threshold by orders of
-        magnitude regardless.
+        * when the pair's combined relevance mass gives the F test real
+          power (``df2 = m_i + m_j - p - 1 >= p``) the statistic is
+          Equation 16's ``T^2`` under the pair's own pooled covariance;
+        * below that the pair's own scatter is uninformative and the F
+          quantile explodes (with one denominator degree of freedom the
+          99.9th percentile is ~10^5, accepting arbitrarily distant
+          pairs), so the statistic is the centroid separation measured
+          in the global pooled within-cluster covariance ``G``, judged
+          against an *effective radius* in the spirit of Lemma 1 (see
+          :meth:`_best_pair`).  ``G`` is inverted only when some pair
+          needs it, once per cluster list.
         """
-        dimension = cluster_i.dimension
-        f_result = pairwise_merge_test(cluster_i, cluster_j, self.scheme, alpha)
-        if f_result.df2 >= dimension:
-            return f_result
-        diff = cluster_i.centroid - cluster_j.centroid
-        separation = float(diff @ global_inverse @ diff)
-        critical = self.low_power_margin * chi2_ppf(1.0 - alpha, float(dimension))
-        return HotellingResult(
-            statistic=separation,
-            critical=critical,
-            reject_equal_means=separation > critical,
-            df1=float(dimension),
-            df2=max(f_result.df2, 0.0),
-        )
+        dimension = clusters[0].dimension
+        weights = [cluster.weight for cluster in clusters]
+        centroids = [cluster.centroid for cluster in clusters]
+        global_inverse: Optional[np.ndarray] = None
+        pairs: List[_Pair] = []
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                df2 = weights[i] + weights[j] - dimension - 1.0
+                if df2 >= dimension:
+                    statistic = _pooled_t2(clusters[i], clusters[j], self.scheme)
+                else:
+                    if global_inverse is None:
+                        global_inverse = self._global_pooled_inverse(clusters)
+                    diff = centroids[i] - centroids[j]
+                    statistic = float(diff @ global_inverse @ diff)
+                pairs.append(_Pair(i, j, statistic, weights[i], weights[j], df2))
+        return pairs
 
     def _best_pair(
-        self,
-        clusters: Sequence[Cluster],
-        alpha: float,
-    ) -> Tuple[Optional[Tuple[int, int]], Optional[HotellingResult]]:
-        """Return the pair with the smallest ``T^2 / c^2`` ratio.
+        self, pairs: Sequence[_Pair], dimension: int, alpha: float
+    ) -> Tuple[_Pair, float]:
+        """The pair with the smallest ``T^2 / c^2`` ratio and its ``c^2``.
 
         Ordering by the ratio rather than raw ``T^2`` matches the spirit
         of Algorithm 3's ascending queue while staying well-defined when
         pairs have different degrees of freedom (different weights give
-        different critical values).
+        different critical values).  F-test pairs are judged against
+        Equation 16's critical distance; low-mass pairs against
+        ``low_power_margin * chi2_p(1 - alpha)`` — the margin absorbs the
+        scatter deflation that hierarchical splitting of one mode
+        introduces, while distant modes exceed the threshold by orders
+        of magnitude regardless.
         """
+        low_mass_critical = self.low_power_margin * chi2_ppf(1.0 - alpha, float(dimension))
         best_key = np.inf
-        best_pair: Optional[Tuple[int, int]] = None
-        best_result: Optional[HotellingResult] = None
-        global_inverse = self._global_pooled_inverse(clusters)
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                result = self._pair_result(clusters[i], clusters[j], alpha, global_inverse)
-                key = result.statistic / result.critical
-                if key < best_key:
-                    best_key = key
-                    best_pair = (i, j)
-                    best_result = result
-        return best_pair, best_result
+        best: Optional[Tuple[_Pair, float]] = None
+        for pair in pairs:
+            if pair.df2 >= dimension:
+                critical = critical_distance(dimension, pair.weight_i, pair.weight_j, alpha)
+            else:
+                critical = low_mass_critical
+            key = pair.statistic / critical
+            if key < best_key:
+                best_key = key
+                best = (pair, critical)
+        assert best is not None  # two clusters give a pair with a finite ratio
+        return best
 
     def merge(self, clusters: Sequence[Cluster]) -> Tuple[List[Cluster], List[MergeRecord]]:
         """Run the full merging loop and return the reduced cluster list.
@@ -228,74 +247,56 @@ class ClusterMerger:
         """
         working = list(clusters)
         records: List[MergeRecord] = []
-        if len(working) <= 1:
-            return working, records
         alpha = self.significance_level
         while len(working) > 1:
-            pair, result = self._best_pair(working, alpha)
-            assert pair is not None and result is not None  # len > 1 guarantees a pair
-            i, j = pair
-            if result.should_merge:
-                add_event(
-                    "t2_merge",
-                    accepted=True,
-                    statistic=result.statistic,
-                    critical=result.critical,
-                    alpha=alpha,
-                    forced=False,
-                )
-                merged = working[i].merged_with(working[j])
-                records.append(
-                    MergeRecord(
-                        first=i,
-                        second=j,
-                        statistic=result.statistic,
-                        critical=result.critical,
-                        significance_level=alpha,
+            # Every merge changes G, so each new cluster list is rescored.
+            pairs = self._pair_statistics(working)
+            while True:
+                pair, critical = self._best_pair(pairs, working[0].dimension, alpha)
+                if pair.statistic <= critical:
+                    forced = False
+                    break
+                if len(working) <= self.max_clusters:
+                    # Within budget and nothing statistically mergeable: the
+                    # closest pair's T^2 exceeded its critical distance.
+                    add_event(
+                        "t2_merge",
+                        accepted=False,
+                        statistic=pair.statistic,
+                        critical=critical,
+                        alpha=alpha,
                         forced=False,
                     )
-                )
-                working = [c for k, c in enumerate(working) if k not in (i, j)]
-                working.append(merged)
-                continue
-            if len(working) <= self.max_clusters:
-                # Within budget and nothing statistically mergeable: the
-                # closest pair's T^2 exceeded its critical distance.
-                add_event(
-                    "t2_merge",
-                    accepted=False,
-                    statistic=result.statistic,
-                    critical=result.critical,
-                    alpha=alpha,
-                    forced=False,
-                )
+                    return working, records
+                # Over budget: relax alpha (grow the critical distance) and,
+                # at the floor, force-merge the closest pair.
+                if alpha > self.min_alpha:
+                    relaxed = max(alpha * self.relax_factor, self.min_alpha)
+                    add_event("alpha_relaxed", alpha_from=alpha, alpha_to=relaxed)
+                    alpha = relaxed
+                    continue
+                forced = True
                 break
-            # Over budget: relax alpha (grow the critical distance) and, at
-            # the floor, force-merge the closest pair.
-            if alpha > self.min_alpha:
-                relaxed = max(alpha * self.relax_factor, self.min_alpha)
-                add_event("alpha_relaxed", alpha_from=alpha, alpha_to=relaxed)
-                alpha = relaxed
-                continue
             add_event(
                 "t2_merge",
                 accepted=True,
-                statistic=result.statistic,
-                critical=result.critical,
+                statistic=pair.statistic,
+                critical=critical,
                 alpha=alpha,
-                forced=True,
+                forced=forced,
             )
-            merged = working[i].merged_with(working[j])
+            i, j = pair.first, pair.second
             records.append(
                 MergeRecord(
                     first=i,
                     second=j,
-                    statistic=result.statistic,
-                    critical=result.critical,
+                    statistic=pair.statistic,
+                    critical=critical,
                     significance_level=alpha,
-                    forced=True,
+                    forced=forced,
                 )
             )
+            merged = working[i].merged_with(working[j])
             working = [c for k, c in enumerate(working) if k not in (i, j)]
             working.append(merged)
         return working, records

@@ -115,26 +115,30 @@ class QclusterEngine:
         Returns:
             The refined multipoint query for the next retrieval round.
         """
-        points, point_scores = self._prepare_feedback(relevant_points, scores)
-        if points.shape[0] > 0:
-            tracer = current_tracer()
-            with tracer.span(
-                "classify",
-                points=int(points.shape[0]),
-                clusters_in=len(self.clusters),
-            ) as span:
+        tracer = current_tracer()
+        # Validation and deduplication of the judged points are the
+        # front of Algorithm 2 and are charged to the classify stage.
+        with tracer.span("classify", clusters_in=len(self.clusters)) as span:
+            points, point_scores = self._prepare_feedback(relevant_points, scores)
+            span.set("points", int(points.shape[0]))
+            if points.shape[0] > 0:
                 if not self.clusters:
                     self._initial_clustering(points, point_scores)
                 else:
                     self._adaptive_round(points, point_scores)
-                span.set("clusters_out", len(self.clusters))
-            with tracer.span("merge", clusters_in=len(self.clusters)) as span:
-                self.clusters, records = self.merger.merge(self.clusters)
-                span.set("clusters_out", len(self.clusters))
-                span.set("merges", len(records))
+            span.set("clusters_out", len(self.clusters))
+        if points.shape[0] == 0:
+            self.iteration += 1
+            return self.current_query()
+        with tracer.span("merge", clusters_in=len(self.clusters)) as span:
+            self.clusters, records = self.merger.merge(self.clusters)
+            span.set("clusters_out", len(self.clusters))
+            span.set("merges", len(records))
             self.merge_history.extend(records)
-        self.iteration += 1
-        return self.current_query()
+            self.iteration += 1
+            # The merged clusters become the next query: their inversion
+            # is the tail of Algorithm 3's output.
+            return self.current_query()
 
     def current_query(self) -> DisjunctiveQuery:
         """The multipoint query induced by the current cluster list."""

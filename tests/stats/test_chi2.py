@@ -28,6 +28,13 @@ class TestChi2Distribution:
     def test_ppf_matches_scipy(self, df, q):
         assert chi2_ppf(q, df) == pytest.approx(st.chi2.ppf(q, df), rel=1e-9)
 
+    @pytest.mark.parametrize("df", [32, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-4, 1e-6])
+    def test_ppf_matches_scipy_at_served_sizes(self, df, alpha):
+        # Served dimensions, down to the merge loop's alpha floor (1e-6).
+        expected = st.chi2.ppf(1.0 - alpha, df)
+        assert chi2_ppf(1.0 - alpha, float(df)) == pytest.approx(expected, rel=1e-9)
+
     def test_sf_is_complement(self):
         assert chi2_sf(4.2, 6) == pytest.approx(1.0 - chi2_cdf(4.2, 6))
 

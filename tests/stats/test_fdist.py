@@ -30,6 +30,24 @@ class TestFDistribution:
     def test_ppf_matches_scipy(self, df1, df2, q):
         assert f_ppf(q, df1, df2) == pytest.approx(st.f.ppf(q, df1, df2), rel=1e-8)
 
+    @pytest.mark.parametrize("df1", [16, 32, 64])
+    @pytest.mark.parametrize("df2_offset", ["p", "p+1", "2p"])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-4, 1e-6])
+    def test_ppf_matches_scipy_at_served_sizes(self, df1, df2_offset, alpha):
+        # The merge test's F branch starts at df2 = p; the served merge
+        # config relaxes alpha down to 1e-6.
+        df2 = {"p": df1, "p+1": df1 + 1, "2p": 2 * df1}[df2_offset]
+        expected = st.f.ppf(1.0 - alpha, df1, df2)
+        assert f_ppf(1.0 - alpha, float(df1), float(df2)) == pytest.approx(expected, rel=1e-8)
+
+    def test_ppf_memo_returns_the_inversion(self):
+        # The memo only skips recomputation; it never changes a value.
+        first = f_ppf(0.999, 32.0, 33.0)
+        assert first == f_ppf.__wrapped__(0.999, 32.0, 33.0)
+        hits = f_ppf.cache_info().hits
+        assert f_ppf(0.999, 32.0, 33.0) == first
+        assert f_ppf.cache_info().hits == hits + 1
+
     def test_sf_is_complement(self):
         assert f_sf(1.7, 3, 14) == pytest.approx(1.0 - f_cdf(1.7, 3, 14))
 
