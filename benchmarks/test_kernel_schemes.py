@@ -170,7 +170,7 @@ class TestKernelSchemes:
 
     def test_rankings_identical_across_paths(self, payload):
         """Acceptance: naive, kernel, sharded and tree orderings agree."""
-        from repro.index.hybridtree import HybridTree
+        from repro.index.tree import HybridTree
         from repro.index.linear import LinearScan
         from repro.service import RetrievalService
 

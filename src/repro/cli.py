@@ -769,11 +769,9 @@ def cmd_bench(args) -> int:
     )
     for entry in payload["configs"]:
         marker = " <- default" if entry["name"] == payload["default"] else ""
-        calibrated = entry["calibrated_recall"]
         print(
             f"{entry['name']:>16s}  {entry['recall_mean']:>6.3f}  "
-            f"{entry['recall_min']:>5.2f}  "
-            f"{calibrated if calibrated is None else format(calibrated, '6.3f')}  "
+            f"{entry['recall_min']:>5.2f}  {entry['calibrated_recall']:>6.3f}  "
             f"{entry['candidate_fraction']:>8.3f}  "
             f"{entry['speedup']:>6.2f}x{marker}"
         )

@@ -86,6 +86,20 @@ def aggregate_distance(
     return float(np.mean(distances**alpha) ** (1.0 / alpha))
 
 
+def column_dots(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``vector @ matrix`` for a ``(g, m)`` matrix, one vector dot per column.
+
+    A single ``(g,) @ (g, m)`` product goes through a BLAS matrix-vector
+    kernel whose accumulation order depends on ``m``; stacking the
+    columns as ``m`` separate vector dots makes every entry bitwise what
+    that column gives on its own (``m == 1``).  Tree node bounds rely on
+    this: a node's bound must not depend on how many nodes are bounded
+    together.
+    """
+    rows = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)[:, None, :]
+    return np.matmul(rows, np.asarray(vector, dtype=float)[:, None])[:, 0, 0]
+
+
 def disjunctive_distance(
     per_cluster_distances: np.ndarray,
     cluster_weights: Sequence[float],
@@ -221,16 +235,24 @@ class DisjunctiveQuery:
         return float(self.distances(np.asarray(x, dtype=float)[None, :])[0])
 
     def lower_bound_from_center_distance(self, center_distances: np.ndarray) -> np.ndarray:
-        """Aggregate distance lower bound given per-point lower bounds.
+        """Aggregate distance lower bounds given per-point lower bounds.
 
-        Used by the multipoint index search: if ``center_distances[i]`` is a
-        lower bound on ``d^2`` to query point ``i`` for every point in an
-        index region, then the weighted harmonic combination of those
-        bounds lower-bounds the aggregate distance in that region (the
-        aggregate is monotone in each coordinate).
+        Used by the multipoint index search: if ``center_distances[i, j]``
+        is a lower bound on ``d^2`` to query point ``i`` for every point
+        in index region ``j``, then the weighted harmonic combination of
+        column ``j`` lower-bounds the aggregate distance in that region
+        (the aggregate is monotone in each coordinate).  Takes ``(g, m)``
+        bounds for ``m`` regions (or ``(g,)`` for one) and returns
+        ``(m,)``; each region's bound is bitwise independent of ``m``
+        (see :func:`column_dots`).
         """
-        per_cluster = np.asarray(center_distances, dtype=float)[:, None]
-        # For a single point the bound passes through exactly (a zero
-        # bound must stay zero); otherwise the harmonic combination
-        # (which clamps internally) applies.
-        return self.combine_per_cluster(per_cluster)
+        per_cluster = np.asarray(center_distances, dtype=float)
+        if per_cluster.ndim == 1:
+            per_cluster = per_cluster[:, None]
+        if self.size == 1:
+            # A single point's bound passes through exactly (a zero
+            # bound must stay zero).
+            return per_cluster[0]
+        weights = self.weights
+        clamped = np.maximum(per_cluster, _DISTANCE_FLOOR)
+        return weights.sum() / column_dots(weights, 1.0 / clamped)

@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 #: A bound-info record: ``(center, diagonal-or-None, lambda_min)`` —
-#: the exact shape :meth:`repro.index.hybridtree.HybridTree` consumes.
+#: the exact shape :meth:`repro.index.tree.HybridTree` consumes.
 BoundInfo = Tuple[np.ndarray, Optional[np.ndarray], float]
 
 #: Target element count of one whitening tile: a ``(rows, g·p)`` block

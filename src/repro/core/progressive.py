@@ -203,10 +203,10 @@ class _DiagonalPrefix:
         np.multiply(block, block, out=block)
         return block @ self.weights[cols]
 
-    def box_lower_bound(self, low: np.ndarray, high: np.ndarray) -> float:
+    def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         # Exact per-axis bound — identical to the classic tree bound.
         delta = np.maximum(np.maximum(low - self.center, self.center - high), 0.0)
-        return float(np.sum(self.weights * delta * delta))
+        return np.sum(self.weights * delta * delta, axis=1)
 
     def data_order(self, sample: np.ndarray) -> np.ndarray:
         centered = sample - self.center
@@ -247,10 +247,10 @@ class _WhitenedPrefix:
         transformed = (rows - self.center) @ cols
         return np.einsum("ij,ij->i", transformed, transformed)
 
-    def box_lower_bound(self, low: np.ndarray, high: np.ndarray) -> float:
-        """Max of the interval bound and the classic λ_min bound.
+    def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Per box, the max of the interval bound and the classic λ_min bound.
 
-        For ``x`` in the box, the j-th whitened coordinate lies in
+        For ``x`` in a box, the j-th whitened coordinate lies in
         ``m_j ± r_j`` with ``m`` the transformed box midpoint and
         ``r = half · |T|`` (triangle inequality), so
         ``Σ max(0, |m_j| − r_j)²`` over any column subset lower-bounds
@@ -260,10 +260,10 @@ class _WhitenedPrefix:
         half = 0.5 * (high - low)
         m = mid @ self.node_transform
         r = half @ self.node_abs
-        interval = float(np.sum(np.maximum(np.abs(m) - r, 0.0) ** 2))
+        interval = np.sum(np.maximum(np.abs(m) - r, 0.0) ** 2, axis=1)
         delta = np.maximum(np.maximum(low - self.center, self.center - high), 0.0)
-        classic = self.lambda_min * float(np.sum(delta * delta))
-        return max(interval * (1.0 - _RELATIVE_SLACK), classic)
+        classic = self.lambda_min * np.sum(delta * delta, axis=1)
+        return np.maximum(interval * (1.0 - _RELATIVE_SLACK), classic)
 
     def data_order(self, sample: np.ndarray) -> np.ndarray:
         transformed = (sample - self.center) @ self.transform
@@ -449,10 +449,9 @@ class ProgressivePlan:
         return out
 
     def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Per-cluster lower bounds of the quadratic distance to a box."""
-        return np.array(
-            [prefix.box_lower_bound(low, high) for prefix in self.prefixes]
-        )
+        """``(g, m)`` per-cluster lower bounds of the quadratic distance
+        to each of ``m`` boxes given as ``(m, p)`` corner arrays."""
+        return np.stack([prefix.box_lower_bounds(low, high) for prefix in self.prefixes])
 
 
 def plan_for(compiled: CompiledQuery) -> Optional[ProgressivePlan]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.config import QclusterConfig
 from ..core.distance import DisjunctiveQuery
-from ..index.spill import SpillTree, SpillTreeConfig
+from ..index.tree import SpillTree, SpillTreeConfig
 from ..parallel import scan_shard_topk
 from ..retrieval import FeatureDatabase, QclusterMethod, SimulatedUser
 

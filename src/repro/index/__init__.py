@@ -1,14 +1,12 @@
-"""Indexing substrate: linear scan, bucketed kd tree, cached multipoint
-search, and the spill/RP-tree approximate tier."""
+"""Indexing substrate: linear scan, the array-backed exact tree and
+spill/RP-tree approximate tier, and cached multipoint search."""
 
-from .hybridtree import HybridTree, TreeNode
 from .linear import KnnResult, LinearScan, SearchCost, page_capacity_for
 from .multipoint import CentroidSearcher, MultipointSearcher, SessionCostLog
-from .spill import DefeatistResult, SpillNode, SpillTree, SpillTreeConfig
+from .tree import DefeatistResult, HybridTree, SpillTree, SpillTreeConfig
 
 __all__ = [
     "HybridTree",
-    "TreeNode",
     "KnnResult",
     "LinearScan",
     "SearchCost",
@@ -18,6 +16,5 @@ __all__ = [
     "SessionCostLog",
     "SpillTree",
     "SpillTreeConfig",
-    "SpillNode",
     "DefeatistResult",
 ]

@@ -10,7 +10,6 @@ page, where a page holds ``page_capacity`` vectors (the paper fixes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -82,7 +81,7 @@ class LinearScan:
     """
 
     def __init__(self, vectors: np.ndarray, node_size_bytes: int = 4096) -> None:
-        # One C-contiguous float64 copy up front: every knn/range call
+        # One C-contiguous float64 copy up front: every knn call
         # then hands the kernels an array they can scan without any
         # further conversion or copying.
         vectors = np.ascontiguousarray(np.atleast_2d(vectors), dtype=float)
@@ -135,23 +134,3 @@ class LinearScan:
         )
         add_event("linear_scan", pages=self.n_pages, refined=self.size, pruned=0)
         return KnnResult(indices=order, distances=distances[order], cost=cost)
-
-    def range_query(self, query: DisjunctiveQuery, radius: float) -> KnnResult:
-        """All points with aggregate distance at most ``radius``, sorted.
-
-        The paper's retrieval model admits both k-NN and range queries
-        (Section 1); a range query against a disjunctive aggregate
-        retrieves the union of the per-cluster contours.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        distances = query.distances(self.vectors)
-        hits = np.nonzero(distances <= radius)[0]
-        hits = hits[np.argsort(distances[hits], kind="stable")]
-        cost = SearchCost(
-            node_accesses=self.n_pages,
-            io_accesses=self.n_pages,
-            cached_accesses=0,
-            distance_evaluations=self.size,
-        )
-        return KnnResult(indices=hits, distances=distances[hits], cost=cost)

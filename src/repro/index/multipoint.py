@@ -26,8 +26,8 @@ import numpy as np
 from ..core.distance import DisjunctiveQuery
 from ..core.kernels import ensure_compiled
 from ..core.progressive import exact_top_k
-from .hybridtree import HybridTree
 from .linear import KnnResult, SearchCost
+from .tree import HybridTree
 
 __all__ = ["MultipointSearcher", "CentroidSearcher", "SessionCostLog"]
 

@@ -58,10 +58,9 @@ from ..core.kernels import CompiledQuery, default_kernel_cache, ensure_compiled
 from ..core.progressive import CoarseLevel0, exact_top_k
 from ..datasets.matrix import assert_scan_ready
 from ..faults import fault_point, register_site
-from ..index.hybridtree import HybridTree
 from ..index.linear import page_capacity_for
 from ..index.multipoint import MultipointSearcher
-from ..index.spill import SpillTree, SpillTreeConfig
+from ..index.tree import HybridTree, SpillTree, SpillTreeConfig
 from ..obs import (
     NULL_TRACER,
     SLOTracker,
@@ -104,11 +103,6 @@ _SITE_SHARD = register_site("shard.scan", "per-shard top-k scan task")
 #: stamped ``approximate``; any other tag in the mix means real
 #: degradation, which dominates.
 _ANN_TAGS = frozenset(("ann", "ann_fallback"))
-
-#: Estimated recall claimed for an ANN page when the tree was built
-#: with calibration disabled — deliberately pessimistic, so turning
-#: calibration off never inflates the contract.
-_UNCALIBRATED_RECALL = 0.5
 
 
 class RetrievalService:
@@ -170,9 +164,9 @@ class RetrievalService:
             omitted (SLO accounting is never sampled — an SLO computed
             over a sample is not an SLO).
         ann: build the approximate tier — a
-            :class:`~repro.index.spill.SpillTree` searched defeatist
+            :class:`~repro.index.tree.SpillTree` searched defeatist
             (no backtracking) over the reached leaves only.  ``True``
-            uses the default :class:`~repro.index.spill.SpillTreeConfig`
+            uses the default :class:`~repro.index.tree.SpillTreeConfig`
             (the committed recall contract), or pass a config directly.
             Exact search stays the default: the tier serves only
             requests that ask for it (``approximate=True`` on
@@ -721,23 +715,20 @@ class RetrievalService:
         """The page's provenance: sticky session reasons plus this scan's.
 
         Reasons drawn entirely from the ANN tags stamp the page
-        ``approximate`` with the tree's calibrated recall (1.0 for a
-        pure ``ann_fallback`` — the content is exact, the stamp is the
-        conservative claim).  Any non-ANN tag means coverage or state
-        was actually lost, and degradation dominates: the page is
-        ``degraded`` carrying every tag.
+        ``approximate`` with the tree's calibrated recall, as measured
+        (1.0 for a pure ``ann_fallback``, or for a checkpointed ANN
+        session restored into a service built without the tier — the
+        content is exact, the stamp is the conservative claim).  Any
+        non-ANN tag means coverage or state was actually lost, and
+        degradation dominates: the page is ``degraded`` carrying every
+        tag.
         """
         combined = tuple(dict.fromkeys(session.provenance + tuple(reasons)))
         if not combined:
             return EXACT_QUALITY
         if all(tag in _ANN_TAGS for tag in combined):
-            if "ann" in combined:
-                tree = self._spill
-                recall = (
-                    tree.calibrated_recall
-                    if tree is not None and tree.calibrated_recall
-                    else _UNCALIBRATED_RECALL
-                )
+            if "ann" in combined and self._spill is not None:
+                recall = self._spill.calibrated_recall
             else:
                 recall = 1.0
             return ResultQuality.approximate(recall, *combined)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .features.image import Image
 from .features.pipeline import FeaturePipeline, color_pipeline, texture_pipeline
-from .index.hybridtree import HybridTree
 from .index.multipoint import MultipointSearcher
+from .index.tree import HybridTree
 from .retrieval.methods import FeedbackMethod, QclusterMethod
 
 __all__ = ["ResultQuality", "EXACT_QUALITY", "ResultPage", "ImageRetrievalSystem"]
@@ -72,7 +72,7 @@ class ResultQuality:
     Attributes:
         level: ``"exact"``, ``"approximate"`` or ``"degraded"``.
         reasons: sorted, de-duplicated causes (empty iff exact).
-        estimated_recall: calibrated recall@k estimate in ``(0, 1]``;
+        estimated_recall: calibrated recall@k estimate in ``[0, 1]``;
             required for ``approximate``, absent otherwise.
     """
 
@@ -93,9 +93,9 @@ class ResultQuality:
         if self.level == "approximate":
             if self.estimated_recall is None:
                 raise ValueError("approximate quality needs an estimated_recall")
-            if not 0.0 < self.estimated_recall <= 1.0:
+            if not 0.0 <= self.estimated_recall <= 1.0:
                 raise ValueError(
-                    f"estimated_recall must be in (0, 1], got {self.estimated_recall}"
+                    f"estimated_recall must be in [0, 1], got {self.estimated_recall}"
                 )
         elif self.estimated_recall is not None:
             raise ValueError(

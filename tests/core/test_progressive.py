@@ -28,7 +28,7 @@ from repro.core.progressive import (
     prune_threshold,
     use_progressive,
 )
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.linear import LinearScan, SearchCost
 
 P = 32
@@ -227,18 +227,6 @@ class TestConsumerPaths:
             pruned_total += fast.cost.candidates_pruned
         assert pruned_total >= 0  # leaf filtering may or may not trigger
 
-    def test_hybridtree_range_query_identical_membership(self, database):
-        rng = np.random.default_rng(37)
-        tree = HybridTree(database)
-        query = feedback_query(database, rng, ["inverse"] * 3)
-        with use_progressive(False):
-            radius = float(np.quantile(query.distances(database), 0.02))
-            slow = tree.range_query(query, radius)
-        with use_progressive(True, min_rows=256):
-            fast = tree.range_query(query, radius)
-        np.testing.assert_array_equal(fast.indices, slow.indices)
-        np.testing.assert_allclose(fast.distances, slow.distances, rtol=1e-12)
-
     def test_multipoint_searchers_byte_identical(self, database):
         from repro.index.multipoint import CentroidSearcher, MultipointSearcher
 
@@ -331,17 +319,23 @@ class TestBoundSoundness:
         plan = plan_for(compile_query(query))
         assert plan is not None
         per_cluster_exact = query.per_cluster_distances(database[:256])
-        for _ in range(20):
-            rows = database[rng.choice(256, size=8, replace=False)]
-            low, high = rows.min(axis=0), rows.max(axis=0)
-            bounds = plan.box_lower_bounds(low, high)
-            inside = (database[:256] >= low).all(axis=1) & (
-                database[:256] <= high
+        boxes = [
+            database[rng.choice(256, size=8, replace=False)] for _ in range(20)
+        ]
+        low = np.stack([rows.min(axis=0) for rows in boxes])
+        high = np.stack([rows.max(axis=0) for rows in boxes])
+        # One batched call over all 20 boxes: (g, m) bounds.
+        bounds = plan.box_lower_bounds(low, high)
+        assert bounds.shape == (plan.size, len(boxes))
+        for box in range(len(boxes)):
+            inside = (database[:256] >= low[box]).all(axis=1) & (
+                database[:256] <= high[box]
             ).all(axis=1)
-            if not inside.any():
-                continue
+            assert inside.any()  # the 8 sampled rows at least
             minima = per_cluster_exact[:, inside].min(axis=1)
-            assert np.all(bounds <= prune_threshold(1.0) * np.maximum(minima, 1e-9))
+            assert np.all(
+                bounds[:, box] <= prune_threshold(1.0) * np.maximum(minima, 1e-9)
+            )
 
 
 class TestEligibilityAndHatch:

@@ -51,7 +51,7 @@ def run_workload(
     ``index.descend`` site); small leaves so the 120-row database
     actually splits.
     """
-    from repro.index.spill import SpillTreeConfig
+    from repro.index.tree import SpillTreeConfig
     from repro.store import FeatureStore
 
     rng = np.random.default_rng(workload_seed)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.covariance import DiagonalScheme, InverseScheme
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.linear import LinearScan
 
 
@@ -125,32 +125,30 @@ class TestStructure:
     def test_leaf_capacity_respected(self, rng):
         vectors = rng.standard_normal((200, 3))
         tree = HybridTree(vectors, leaf_capacity=10)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.indices.shape[0] <= 10
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree.root)
+        assert max(tree.leaf_sizes()) <= 10
+        # A partition: every row sits in exactly one leaf.
+        assert sum(tree.leaf_sizes()) == 200
+        np.testing.assert_array_equal(np.sort(tree.rows), np.arange(200))
 
     def test_mbrs_contain_children(self, rng):
         vectors = rng.standard_normal((150, 4))
         tree = HybridTree(vectors, leaf_capacity=12)
-
-        def check(node):
-            if node.is_leaf:
-                subset = vectors[node.indices]
-                assert np.all(subset >= node.low - 1e-12)
-                assert np.all(subset <= node.high + 1e-12)
-            else:
-                for child in (node.left, node.right):
-                    assert np.all(child.low >= node.low - 1e-12)
-                    assert np.all(child.high <= node.high + 1e-12)
-                    check(child)
-
-        check(tree.root)
+        for node in range(tree.n_nodes):
+            # Each node's box is exactly the box of its own rows.
+            subset = vectors[tree.rows[tree.start[node] : tree.stop[node]]]
+            np.testing.assert_array_equal(tree.low[node], subset.min(axis=0))
+            np.testing.assert_array_equal(tree.high[node], subset.max(axis=0))
+            if tree.left[node] < 0:
+                continue
+            left, right = tree.left[node], tree.right[node]
+            # Pre-order ids; the children tile the parent's row range.
+            assert left == node + 1 and right > left
+            assert tree.start[left] == tree.start[node]
+            assert tree.stop[left] == tree.start[right]
+            assert tree.stop[right] == tree.stop[node]
+            for child in (left, right):
+                assert np.all(tree.low[child] >= tree.low[node])
+                assert np.all(tree.high[child] <= tree.high[node])
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

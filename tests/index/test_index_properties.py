@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.linear import LinearScan
 
 data_matrices = arrays(
@@ -58,18 +58,6 @@ class TestTreeScanAgreement:
         scan_result = scan.knn(query, k)
         np.testing.assert_allclose(
             np.sort(tree_result.distances), np.sort(scan_result.distances), atol=1e-8
-        )
-
-    @given(data_matrices, hst.floats(min_value=0.1, max_value=100.0))
-    @settings(max_examples=30, deadline=None)
-    def test_range_query_matches(self, vectors, radius):
-        tree = HybridTree(vectors, leaf_capacity=8)
-        scan = LinearScan(vectors)
-        query = single_point_query(vectors[0])
-        tree_result = tree.range_query(query, radius)
-        scan_result = scan.range_query(query, radius)
-        np.testing.assert_array_equal(
-            np.sort(tree_result.indices), np.sort(scan_result.indices)
         )
 
     @given(data_matrices)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.multipoint import CentroidSearcher, MultipointSearcher
 
 

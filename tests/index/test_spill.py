@@ -8,9 +8,9 @@ import pytest
 from repro.core.distance import DisjunctiveQuery, QueryPoint
 from repro.core.progressive import exact_top_k
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, activate_faults
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.linear import LinearScan
-from repro.index.spill import SpillTree, SpillTreeConfig
+from repro.index.tree import SpillTree, SpillTreeConfig
 
 
 def single_query(center, dim=None):
@@ -36,11 +36,16 @@ def clustered(rng, n_per=150, dim=4, offsets=(0.0, 12.0, -12.0)):
     )
 
 
-def gathered(node):
+def gathered(tree, node=0):
     """Union of leaf indices in the subtree rooted at ``node``."""
-    if node.is_leaf:
-        return set(map(int, node.indices))
-    return gathered(node.left) | gathered(node.right)
+    return set(tree.rows[tree.start[node] : tree.stop[node]].tolist())
+
+
+def projection(tree, node, point):
+    """The routing scalar of one point at an internal node."""
+    if tree.axis[node] >= 0:
+        return float(point[tree.axis[node]])
+    return float(point @ tree.direction[node])
 
 
 class TestStructure:
@@ -56,23 +61,26 @@ class TestStructure:
         tree = SpillTree(vectors, SpillTreeConfig(spill=0.3, leaf_capacity=32))
 
         def check(node, members):
-            if node.is_leaf:
-                assert set(map(int, node.indices)) == members
+            if tree.left[node] < 0:
+                assert gathered(tree, node) == members
                 return
-            assert node.low <= node.route <= node.high
-            left, right = gathered(node.left), gathered(node.right)
+            assert tree.low[node] <= tree.route[node] <= tree.high[node]
+            left = gathered(tree, tree.left[node])
+            right = gathered(tree, tree.right[node])
             assert left | right == members
             for i in left:
-                assert node.project(vectors[i]) <= node.high
+                assert projection(tree, node, vectors[i]) <= tree.high[node]
             for i in right:
-                assert node.project(vectors[i]) >= node.low
-            check(node.left, left)
-            check(node.right, right)
+                assert projection(tree, node, vectors[i]) >= tree.low[node]
+            check(tree.left[node], left)
+            check(tree.right[node], right)
 
-        check(tree.root, set(range(400)))
-        # A 0.3 spill with real spread must actually share points.
-        shared = gathered(tree.root.left) & gathered(tree.root.right)
+        check(0, set(range(400)))
+        # A 0.3 spill with real spread must actually share points, and
+        # a shared row appears once per leaf holding it.
+        shared = gathered(tree, tree.left[0]) & gathered(tree, tree.right[0])
         assert shared
+        assert tree.rows.shape[0] == sum(tree.leaf_sizes()) > 400
 
     def test_zero_spill_is_nearly_a_partition(self, rng):
         """No spill buffer: only rows tied exactly at a median can land
@@ -80,7 +88,7 @@ class TestStructure:
         vectors = rng.standard_normal((300, 3))
         tree = SpillTree(vectors, SpillTreeConfig(spill=0.0, leaf_capacity=32))
         sizes = tree.leaf_sizes()
-        assert gathered(tree.root) == set(range(300))  # full coverage
+        assert gathered(tree) == set(range(300))  # full coverage
         assert sum(sizes) - 300 <= tree.stats()["n_leaves"]
 
     def test_rp_rule_builds_and_is_seeded(self, rng):
@@ -230,9 +238,9 @@ class TestDegenerateLeaves:
         tree = SpillTree(vectors, SpillTreeConfig(leaf_capacity=16, spill=0.4))
         # The root split hit the tie guard: a spill-free cut whose
         # children share nothing (low == route == high).
-        assert tree.root.low == tree.root.route == tree.root.high
-        assert not gathered(tree.root.left) & gathered(tree.root.right)
-        assert gathered(tree.root) == set(range(128))
+        assert tree.low[0] == tree.route[0] == tree.high[0]
+        assert not gathered(tree, tree.left[0]) & gathered(tree, tree.right[0])
+        assert gathered(tree) == set(range(128))
         result = tree.defeatist_search(single_query(np.zeros(2)), 10)
         assert result.indices.shape == (10,)
 
@@ -240,15 +248,8 @@ class TestDegenerateLeaves:
 class TestCalibration:
     def test_calibrated_recall_in_unit_interval(self, rng):
         tree = SpillTree(clustered(rng), SpillTreeConfig(leaf_capacity=32))
-        assert tree.calibrated_recall is not None
+        assert isinstance(tree.calibrated_recall, float)
         assert 0.0 < tree.calibrated_recall <= 1.0
-
-    def test_calibration_disabled(self, rng):
-        tree = SpillTree(
-            rng.standard_normal((100, 3)),
-            SpillTreeConfig(leaf_capacity=32, calibration_queries=0),
-        )
-        assert tree.calibrated_recall is None
 
     def test_calibration_deterministic(self, rng):
         vectors = rng.standard_normal((300, 4))
@@ -300,4 +301,4 @@ class TestFaultInjection:
         )
         with activate_faults(plan):
             tree = SpillTree(vectors, SpillTreeConfig(leaf_capacity=16))
-        assert tree.calibrated_recall is not None
+        assert 0.0 < tree.calibrated_recall <= 1.0

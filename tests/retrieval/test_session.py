@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index.hybridtree import HybridTree
+from repro.index.tree import HybridTree
 from repro.index.multipoint import MultipointSearcher
 from repro.retrieval.database import FeatureDatabase
 from repro.retrieval.methods import QclusterMethod

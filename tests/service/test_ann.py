@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, activate_faults
-from repro.index.spill import SpillTreeConfig
+from repro.index.tree import SpillTreeConfig
 from repro.service import RetrievalService
 
 #: Small leaves so the 120-row test database actually splits and the
@@ -73,6 +73,35 @@ class TestApproximateServing:
             assert page.quality.reasons == ("ann",)
             assert page.quality.estimated_recall == service.ann_tree.calibrated_recall
             assert len(page) == 10
+
+    def test_a_measured_zero_recall_is_stamped_as_is(self, database):
+        """The stamp is the measurement: a tree that reached none of its
+        probes' neighbours claims 0.0, not a made-up floor."""
+        with ann_service(database) as service:
+            service.ann_tree.calibrated_recall = 0.0
+            session = service.create_session(3)
+            page = service.query(session, approximate=True)
+            assert page.quality.level == "approximate"
+            assert page.quality.estimated_recall == 0.0
+
+    def test_restored_ann_session_without_the_tier_claims_no_loss(
+        self, database, tmp_path
+    ):
+        """A checkpointed session whose trajectory an approximate page
+        shaped stays marked after a restart without the ANN tier; its
+        pages are now scanned exactly, so the stamp claims recall 1.0."""
+        with ann_service(database, capacity=1, checkpoint_dir=tmp_path) as service:
+            service.create_session(3, session_id="s")
+            page = service.query("s", approximate=True)
+            service.feedback("s", [int(i) for i in page.ids[:3]], approximate=True)
+            service.create_session(7, session_id="evictor")
+            service.query("evictor")
+            assert "s" in service.store.archived_ids
+        with RetrievalService(database, k=10, checkpoint_dir=tmp_path) as restarted:
+            later = restarted.query("s")
+            assert later.quality.level == "approximate"
+            assert later.quality.reasons == ("ann",)
+            assert later.quality.estimated_recall == 1.0
 
     def test_requires_the_tier(self, database):
         with RetrievalService(database, k=10) as service:

@@ -478,7 +478,7 @@ class TestApproximateOverHTTP:
 
     @pytest.fixture()
     def ann_conn(self, database):
-        from repro.index.spill import SpillTreeConfig
+        from repro.index.tree import SpillTreeConfig
 
         with RetrievalService(
             database,
