@@ -101,14 +101,14 @@ def payload(tmp_path_factory):
         with ShardWorkerPool(store_path, n_workers=n_workers) as pool:
             # Warm-up: spawn + per-process store open + kernel compile.
             futures = [
-                pool.submit_batch(i, [encoded], [K], [False]) for i in range(N_SHARDS)
+                pool.submit_batch(i, [encoded], [K]) for i in range(N_SHARDS)
             ]
             pages[n_workers] = merge_parts([f.result()[0] for f in futures])
             best = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
                 futures = [
-                    pool.submit_batch(i, [encoded], [K], [False])
+                    pool.submit_batch(i, [encoded], [K])
                     for i in range(N_SHARDS)
                 ]
                 for future in futures:

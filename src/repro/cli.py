@@ -229,17 +229,26 @@ def cmd_serve(args) -> int:
     """Serve the retrieval API over HTTP, batching compatible queries."""
     from .service import BatchingConfig, RetrievalServer, RetrievalService
 
+    batching = False
+    if not args.no_batching:
+        if args.shed_threshold is not None and not args.ann:
+            print(
+                "--shed-threshold needs --ann: shed requests are served "
+                "from the ANN tier",
+                file=sys.stderr,
+            )
+            return 2
+        try:
+            batching = BatchingConfig(
+                max_batch=args.batch_size,
+                max_wait_s=args.batch_wait_ms / 1e3,
+                max_pending=args.max_pending,
+                shed_threshold=args.shed_threshold,
+            )
+        except ValueError as error:
+            print(f"invalid batching options: {error}", file=sys.stderr)
+            return 2
     database = _build_database(args)
-    batching = (
-        False
-        if args.no_batching
-        else BatchingConfig(
-            max_batch=args.batch_size,
-            max_wait_s=args.batch_wait_ms / 1e3,
-            max_pending=args.max_pending,
-            shed_threshold=args.shed_threshold,
-        )
-    )
     service = RetrievalService(
         database,
         k=args.k,
@@ -886,7 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shed-threshold",
         type=int,
         default=None,
-        help="queue depth above which queries degrade to approximate",
+        help="queue depth at which new batching arrivals skip the queue and "
+        "are served from the ANN tier (requires --ann; must be below "
+        "--max-pending)",
     )
     serve.add_argument(
         "--no-batching",

@@ -48,7 +48,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,10 +113,6 @@ _MAX_CONTEXTS = 8
 #: than the pruning slack absorbs (float32 eps is ≈6e-8; 1e-5 leaves
 #: two orders of magnitude of headroom).
 _COARSE_MARGIN = 1e-5
-
-#: Row budget of an approximate (load-shed) scan, as a multiple of k:
-#: only the best-bounded ``_APPROX_BUDGET·k`` candidates are refined.
-_APPROX_BUDGET = 4
 
 #: Target element count of one batched level-0 product tile
 #: ``(rows, Σ_i g_i·t0)`` — large enough that the per-tile Python
@@ -655,17 +651,11 @@ class ScanStats:
 
 @dataclass(frozen=True)
 class ProgressiveResult:
-    """Exact top-k (indices sorted by ``(distance, index)``) plus stats.
-
-    ``exact`` is ``False`` only for an explicitly requested approximate
-    (load-shed) scan: the returned distances are still true distances,
-    but only a bound-selected candidate subset was considered.
-    """
+    """Exact top-k (indices sorted by ``(distance, index)``) plus stats."""
 
     indices: np.ndarray
     distances: np.ndarray
     stats: ScanStats
-    exact: bool = field(default=True)
 
 
 def _full_scan_stats(n: int) -> ScanStats:
@@ -711,7 +701,6 @@ def _scan_from_level0(
     per_cluster0: Optional[np.ndarray],
     ranges: Sequence[Tuple[int, int]],
     level0: str,
-    approximate: bool = False,
 ) -> ProgressiveResult:
     """Seed / escalate / refine from precomputed level-0 bounds.
 
@@ -725,9 +714,6 @@ def _scan_from_level0(
             at zero and ``ranges`` must begin at coordinate 0.
         ranges: escalation coordinate ranges ``(lo, hi)``, applied
             additively in order.
-        approximate: serve a load-shed page — refine only the best
-            ``_APPROX_BUDGET·k`` bounded candidates and return with
-            ``exact=False`` (distances are still true distances).
     """
     n = vectors.shape[0]
     schedule = plan.schedule
@@ -743,45 +729,6 @@ def _scan_from_level0(
 
     refined_mask = np.zeros(n, dtype=bool)
     refined_mask[seed] = True
-
-    if approximate:
-        # Load-shed mode: spend a fixed exact-evaluation budget on the
-        # best-bounded candidates instead of guaranteeing the scan.
-        budget_rows = min(n, max(_APPROX_BUDGET * k, _MIN_REFINE_BLOCK))
-        if budget_rows >= n:
-            candidates = np.arange(n)
-        else:
-            candidates = np.argpartition(lower, budget_rows - 1)[:budget_rows]
-        candidates = candidates[~refined_mask[candidates]]
-        if candidates.shape[0]:
-            candidate_distances = np.asarray(query.distances(vectors[candidates]))
-            refined += int(candidates.shape[0])
-            merged_ids = np.concatenate([best_ids, candidates])
-            merged_distances = np.concatenate(
-                [best_distances, candidate_distances]
-            )
-            top = exact_top_k(merged_distances, k, tie_break=merged_ids)
-            best_ids = merged_ids[top]
-            best_distances = merged_distances[top]
-        stats = ScanStats(
-            filtered=n,
-            refined=refined,
-            pruned=n - refined,
-            schedule=schedule,
-            survivors_per_level=(int(candidates.shape[0]),),
-            level0=level0,
-        )
-        add_event(
-            "progressive_scan",
-            filtered=stats.filtered,
-            refined=stats.refined,
-            pruned=stats.pruned,
-            approximate=True,
-            level0=level0,
-        )
-        return ProgressiveResult(
-            indices=best_ids, distances=best_distances, stats=stats, exact=False
-        )
 
     alive = np.nonzero(~refined_mask & (lower <= prune_threshold(tau)))[0]
     survivors_per_level = [int(alive.shape[0])]
@@ -943,7 +890,6 @@ def progressive_topk_batch(
     ks: Sequence[int],
     *,
     coarse: Optional[CoarseLevel0] = None,
-    approximate: Optional[Sequence[bool]] = None,
 ) -> List[Optional[ProgressiveResult]]:
     """Filter-and-refine several queries over one matrix, sharing passes.
 
@@ -962,18 +908,13 @@ def progressive_topk_batch(
             schemes; each is gated independently).
         ks: per-query page sizes.
         coarse: optional :class:`CoarseLevel0` covering ``vectors``.
-        approximate: per-query load-shed flags (see
-            :class:`ProgressiveResult`'s ``exact=False`` contract).
 
     Returns:
         One :class:`ProgressiveResult` per query, or ``None`` in the
         slots where the progressive path does not apply (the caller
         falls back to a full scan for those queries).
     """
-    count = len(queries)
-    if approximate is None:
-        approximate = [False] * count
-    results: List[Optional[ProgressiveResult]] = [None] * count
+    results: List[Optional[ProgressiveResult]] = [None] * len(queries)
     prepared = []  # (index, combine, plan)
     for index, (query, k) in enumerate(zip(queries, ks)):
         prep = _prepare(vectors, query, k)
@@ -1011,7 +952,6 @@ def progressive_topk_batch(
             accumulators[position],
             ranges,
             "coarse" if use_coarse else "prefix",
-            approximate=bool(approximate[index]),
         )
     return results
 

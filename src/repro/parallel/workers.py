@@ -89,7 +89,7 @@ def scan_shard_topk(
             (the store's PCA companions); bounds change, rankings never
             do.
     """
-    return scan_shard_topk_batch([query], shard, offset, [k], coarse=coarse)[0][:4]
+    return scan_shard_topk_batch([query], shard, offset, [k], coarse=coarse)[0]
 
 
 def _full_scan_distances(queries, shard: np.ndarray) -> List[np.ndarray]:
@@ -134,8 +134,7 @@ def scan_shard_topk_batch(
     ks: Sequence[int],
     *,
     coarse: Optional[CoarseLevel0] = None,
-    approximate: Optional[Sequence[bool]] = None,
-) -> List[Tuple[np.ndarray, np.ndarray, int, int, bool]]:
+) -> List[Tuple[np.ndarray, np.ndarray, int, int]]:
     """Per-shard top-``k`` for a whole micro-batch in one database pass.
 
     The one per-shard scan kernel (a single query is a batch of one):
@@ -148,21 +147,18 @@ def scan_shard_topk_batch(
     ``distances`` method).  Either way each page is the shard's exact
     top-k under the ``(distance, id)`` order.
 
-    Returns one ``(global ids, distances, pruned, refined, exact)``
-    tuple per query; ``exact`` is ``False`` only when that query's
-    ``approximate`` flag was honored by a progressive load-shed scan.
+    Returns one ``(global ids, distances, pruned, refined)`` tuple per
+    query.
     """
     ks = [min(int(k), shard.shape[0]) for k in ks]
-    batched = progressive_topk_batch(
-        shard, queries, ks, coarse=coarse, approximate=approximate
-    )
+    batched = progressive_topk_batch(shard, queries, ks, coarse=coarse)
     rejected = [
         query
         for query, progressive in zip(queries, batched)
         if progressive is None
     ]
     full_scans = iter(_full_scan_distances(rejected, shard))
-    results: List[Tuple[np.ndarray, np.ndarray, int, int, bool]] = []
+    results: List[Tuple[np.ndarray, np.ndarray, int, int]] = []
     for _query, k, progressive in zip(queries, ks, batched):
         if progressive is not None:
             results.append(
@@ -171,13 +167,12 @@ def scan_shard_topk_batch(
                     progressive.distances,
                     progressive.stats.pruned,
                     progressive.stats.refined,
-                    progressive.exact,
                 )
             )
             continue
         distances = next(full_scans)
         top = exact_top_k(distances, k)
-        results.append((top + offset, distances[top], 0, shard.shape[0], True))
+        results.append((top + offset, distances[top], 0, shard.shape[0]))
     return results
 
 
@@ -375,7 +370,6 @@ def _scan_shard_batch_task(
     shard_index: int,
     payloads: Sequence[Dict[str, Any]],
     ks: Sequence[int],
-    approximate: Sequence[bool],
     trace: Optional[Dict[str, Any]] = None,
 ):
     """A whole micro-batch's top-k over one shard, inside a worker.
@@ -400,12 +394,10 @@ def _scan_shard_batch_task(
         )
         offset = store.row_offsets[shard_index]
         coarse = _worker_coarse(store_path, shard_index)
-        parts = scan_shard_topk_batch(
-            queries, shard, offset, ks, coarse=coarse, approximate=approximate
-        )
+        parts = scan_shard_topk_batch(queries, shard, offset, ks, coarse=coarse)
     results = [
-        (np.asarray(ids), np.asarray(distances), int(pruned), int(refined), bool(exact))
-        for ids, distances, pruned, refined, exact in parts
+        (np.asarray(ids), np.asarray(distances), int(pruned), int(refined))
+        for ids, distances, pruned, refined in parts
     ]
     if trace is None:
         return results
@@ -484,14 +476,13 @@ class ShardWorkerPool:
         shard_index: int,
         payloads: Sequence[Dict[str, Any]],
         ks: Sequence[int],
-        approximate: Sequence[bool],
         trace: Optional[Dict[str, Any]] = None,
     ) -> "Future":
         """Dispatch one shard scan covering a whole micro-batch.
 
-        The future resolves to one ``(ids, distances, pruned, refined,
-        exact)`` tuple per payload, in payload order — the shard is
-        read once for the whole batch.  With a ``trace`` context dict
+        The future resolves to one ``(ids, distances, pruned, refined)``
+        tuple per payload, in payload order — the shard is read once for
+        the whole batch.  With a ``trace`` context dict
         it resolves to ``(parts, spans)`` instead.
         """
         executor = self._ensure_executor()
@@ -502,7 +493,6 @@ class ShardWorkerPool:
                 shard_index,
                 list(payloads),
                 list(ks),
-                list(approximate),
                 trace,
             )
         )

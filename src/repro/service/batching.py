@@ -26,7 +26,7 @@ to per-query serial execution under the shared ``(distance, id)``
 tie-break.
 
 **Flow control.**  Three mechanisms keep the executor well-behaved
-under overload, none of which drops a request:
+under heavy load, none of which drops a request:
 
 * *admission/backpressure* — at most ``max_pending`` queued requests;
   further submitters block (which in the HTTP front-end translates to
@@ -36,14 +36,12 @@ under overload, none of which drops a request:
   member's :class:`~repro.service.resilience.DeadlineBudget` is about
   to spend its slack on queueing;
 * *load shedding* — past ``shed_threshold`` queued requests, new
-  arrivals are served cheaply instead of waiting.  With a ``shed_to``
-  handler (the engine wires its spill-tree ANN tier), the shed request
-  never enqueues at all: it is served immediately on the submitter's
-  own thread by the defeatist approximate search, page stamped
-  ``ResultQuality(approximate, estimated_recall=...)``.  Without one,
-  the request rides the batch marked for an approximate scan (exact
-  distances over a bound-selected candidate subset) and its page
-  carries reason ``"overload"`` — degraded honestly, never dropped.
+  arrivals never enqueue: the ``shed_to`` handler (the engine wires
+  its spill-tree ANN tier, so shedding requires one) serves them
+  immediately on the submitter's own thread by the defeatist
+  approximate search, page stamped
+  ``ResultQuality(approximate, estimated_recall=...)`` — announced,
+  never dropped.
 
 Per-tenant fairness is round-robin over tenant FIFO queues, so one
 chatty tenant cannot starve the rest; within a tenant, order is
@@ -61,7 +59,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.kernels import CompiledQuery
 from ..faults.inject import fault_point, register_site
-from ..obs import current_span, current_tracer
+from ..obs import add_event, current_span, current_tracer
 from ..obs.slo import LatencyHistogram
 from .metrics import percentile
 from .resilience import DeadlineBudget
@@ -110,7 +108,10 @@ class BatchingConfig:
         max_pending: admission-control bound on queued requests;
             further submitters block until the queue drains.
         shed_threshold: queue depth at which new arrivals are served
-            approximately (``None`` disables shedding).
+            inline by the executor's ``shed_to`` handler instead of
+            queueing (``None`` disables shedding).  Must be below
+            ``max_pending``: submitters block at ``max_pending``, so a
+            deeper threshold could never fire.
     """
 
     max_batch: int = 32
@@ -127,10 +128,17 @@ class BatchingConfig:
             raise ValueError(
                 f"max_pending must be at least 1, got {self.max_pending}"
             )
-        if self.shed_threshold is not None and self.shed_threshold < 1:
-            raise ValueError(
-                f"shed_threshold must be at least 1, got {self.shed_threshold}"
-            )
+        if self.shed_threshold is not None:
+            if self.shed_threshold < 1:
+                raise ValueError(
+                    f"shed_threshold must be at least 1, got {self.shed_threshold}"
+                )
+            if self.shed_threshold >= self.max_pending:
+                raise ValueError(
+                    f"shed_threshold ({self.shed_threshold}) must be below "
+                    f"max_pending ({self.max_pending}): submitters block at "
+                    "max_pending, so the threshold could never be reached"
+                )
 
 
 @dataclass
@@ -139,9 +147,7 @@ class BatchRequest:
 
     The executor treats ``payload`` and the eventual ``result`` as
     opaque — the engine decides what a request carries and what a scan
-    returns.  ``approximate`` is set by the executor when the request
-    was admitted in shed mode; the scan honours it by serving a
-    bound-selected subset exactly.
+    returns.
     """
 
     payload: Any
@@ -149,7 +155,6 @@ class BatchRequest:
     k: int
     tenant: str = "default"
     budget: Optional[DeadlineBudget] = None
-    approximate: bool = False
     arrival: float = 0.0
     deadline: float = float("inf")
     context: Optional[contextvars.Context] = None
@@ -178,9 +183,8 @@ class BatchingExecutor:
         shed_to: ``(request) -> result`` — immediate service for
             requests arriving past ``shed_threshold``; runs on the
             submitter's thread, bypassing the queue entirely (the
-            engine wires the ANN tier here).  ``None`` keeps the older
-            behaviour: shed requests ride the batch flagged
-            ``approximate`` for a bound-selected subset scan.
+            engine wires the ANN tier here).  Required whenever
+            ``config.shed_threshold`` is set.
         config: the flow-control knobs.
         metrics: optional :class:`~repro.service.metrics.ServiceMetrics`
             receiving ``batches``/``batched_queries``/``batch_shed``/
@@ -203,10 +207,16 @@ class BatchingExecutor:
         metrics=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        config = config or BatchingConfig()
+        if config.shed_threshold is not None and shed_to is None:
+            raise ValueError(
+                "shed_threshold needs a shed_to target to serve shed requests "
+                "(RetrievalService wires its ANN tier: pass ann=True)"
+            )
         self._execute = execute
         self._fallback = fallback
         self._shed_to = shed_to
-        self.config = config or BatchingConfig()
+        self.config = config
         self._metrics = metrics
         self._clock = clock
         self._cond = threading.Condition()
@@ -248,9 +258,10 @@ class BatchingExecutor:
 
         Raises whatever the scan raised for this request.  Blocks at
         admission while ``max_pending`` requests are already queued.
-        A request arriving past ``shed_threshold`` with a ``shed_to``
-        handler configured never enqueues: it is served by the handler
-        on this thread and returns (or raises) immediately.
+        A request arriving past ``shed_threshold`` never enqueues: it
+        is served by the ``shed_to`` handler on this thread and returns
+        (or raises) immediately, leaving a ``batch_shed`` event on the
+        submitter's span.
         """
         request = BatchRequest(payload=payload, key=key, k=int(k), tenant=tenant, budget=budget)
         request.context = contextvars.copy_context()
@@ -268,19 +279,16 @@ class BatchingExecutor:
                 request.deadline = now + max(
                     0.0, budget.remaining - _DEADLINE_MARGIN_S
                 )
+            self._submitted += 1
             threshold = self.config.shed_threshold
-            shed_inline = False
-            if threshold is not None and self._pending >= threshold:
-                request.approximate = True
+            queue_depth = self._pending
+            shed = threshold is not None and queue_depth >= threshold
+            if shed:
+                # The congested queue never sees the request: it is
+                # served inline below, outside the lock, on this thread.
                 self._shed += 1
                 if self._metrics is not None:
                     self._metrics.increment("batch_shed")
-                # With a shed_to handler the congested queue never sees
-                # the request: it is served inline below, outside the
-                # lock, on this thread.
-                shed_inline = self._shed_to is not None
-            if shed_inline:
-                self._submitted += 1
             else:
                 queue = self._queues.get(tenant)
                 if queue is None:
@@ -289,11 +297,10 @@ class BatchingExecutor:
                 queue.append(request)
                 self._pending += 1
                 self._peak_pending = max(self._peak_pending, self._pending)
-                self._submitted += 1
                 self._cond.notify_all()
-        if shed_inline:
+        if shed:
             assert self._shed_to is not None
-            request.done.set()
+            add_event("batch_shed", queue_depth=queue_depth, threshold=threshold)
             return self._shed_to(request)
         request.done.wait()
         if self._metrics is not None:

@@ -46,20 +46,12 @@ class DegradationPolicy:
             is *soft*: an in-flight search is never cancelled, but a
             miss counts a strike against the session.
         trip_after: consecutive deadline strikes before the session is
-            pinned to the linear-scan fallback.
-        prefer_ann: where a tripped session lands.  ``False`` (default)
-            keeps the lossless contract: the fallback is the exact
-            sharded scan, identical results at predictable cost.
-            ``True`` trades that exactness *honestly* — tripped
-            sessions are served by the spill-tree ANN tier and their
-            pages carry ``ResultQuality(approximate,
-            estimated_recall=...)``.  Requires the service to have been
-            built with its ANN tier.
+            pinned to the linear-scan fallback (the exact sharded
+            scan: identical results at predictable cost).
     """
 
     soft_deadline_s: Optional[float] = None
     trip_after: int = 1
-    prefer_ann: bool = False
 
     def __post_init__(self) -> None:
         if self.soft_deadline_s is not None and self.soft_deadline_s <= 0:

@@ -170,15 +170,10 @@ class RetrievalService:
             (the committed recall contract), or pass a config directly.
             Exact search stays the default: the tier serves only
             requests that ask for it (``approximate=True`` on
-            :meth:`query` / :meth:`feedback`), shed batching traffic,
-            and — with ``prefer_ann`` — tripped sessions.  Every page
-            it serves is stamped
+            :meth:`query` / :meth:`feedback`) and batching traffic shed
+            past ``shed_threshold`` (which therefore requires the tier).
+            Every page it serves is stamped
             ``ResultQuality(approximate, estimated_recall=...)``.
-        prefer_ann: when a session's guard trips (index errors or
-            soft-deadline strikes), serve it from the ANN tier instead
-            of the full exact fallback scan (requires ``ann``); the
-            honest trade under pressure — cheap announced
-            approximation over expensive exactness.
     """
 
     def __init__(
@@ -203,7 +198,6 @@ class RetrievalService:
         batching: Union[bool, BatchingConfig, None] = None,
         slo: Optional[SLOTracker] = None,
         ann: Union[bool, SpillTreeConfig, None] = None,
-        prefer_ann: bool = False,
     ) -> None:
         if scan_backend not in ("threads", "processes"):
             raise ValueError(
@@ -257,12 +251,8 @@ class RetrievalService:
         self.k = min(k, n_rows)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if prefer_ann and not ann:
-            raise ValueError("prefer_ann requires the ANN tier (pass ann=True)")
         self.policy = DegradationPolicy(
-            soft_deadline_s=soft_deadline_s,
-            trip_after=deadline_trip,
-            prefer_ann=prefer_ann,
+            soft_deadline_s=soft_deadline_s, trip_after=deadline_trip
         )
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self.store = SessionStore(
@@ -639,12 +629,7 @@ class RetrievalService:
         budget: DeadlineBudget,
         approximate: bool = False,
     ) -> ResultPage:
-        guard = session.guard
-        use_ann = self._spill is not None and (
-            approximate
-            or (self.policy.prefer_ann and guard is not None and guard.active)
-        )
-        if use_ann:
+        if approximate:
             # The ANN path bypasses the result cache in both directions:
             # approximate pages are never stored (a later exact request
             # must not replay them), and an approximate request computes
@@ -814,7 +799,7 @@ class RetrievalService:
                         tenant=self.tenant_of(session.session_id),
                         budget=budget,
                     )
-                return self._scan([session.query], [k], [False], budget)[0]
+                return self._scan([session.query], [k], budget)[0]
 
     def _shard_array(self, index: int) -> np.ndarray:
         """Shard ``index`` as a scan-ready C-contiguous matrix.
@@ -906,7 +891,7 @@ class RetrievalService:
                 span.set("error", True)
                 self.metrics.increment("ann_fallbacks")
                 add_event("ann_fallback", error=repr(error))
-                ids, distances, reasons = self._scan([query], [k], [False], budget)[0]
+                ids, distances, reasons = self._scan([query], [k], budget)[0]
                 return ids, distances, reasons + ("ann_fallback",)
             span.set("candidates", result.n_candidates)
         self.metrics.observe("ann_search", self._clock() - start)
@@ -925,9 +910,8 @@ class RetrievalService:
         """Serve one load-shed batching request from the ANN tier.
 
         Runs on the submitter's own thread (the executor hands shed
-        requests here instead of queueing them), so an overloaded queue
-        sheds real work immediately rather than marking requests for a
-        cheaper ride through the same congested dispatcher.
+        requests here instead of queueing them), so a congested queue
+        sheds real work immediately instead of making it wait.
         """
         return self._ann_scan(request.payload, request.k, request.budget)
 
@@ -942,13 +926,12 @@ class RetrievalService:
         produces the byte-identical page, so a fault in the batching
         machinery costs amortization, never correctness.
         """
-        return self._scan([request.payload], [request.k], [False], request.budget)[0]
+        return self._scan([request.payload], [request.k], request.budget)[0]
 
     def _execute_batch(self, requests: List[BatchRequest]):
         """Run one micro-batch (shared compatibility key) end to end."""
         queries = [request.payload for request in requests]
         ks = [request.k for request in requests]
-        approximate = [request.approximate for request in requests]
         # The batch fights under the most permissive member budget:
         # retries for shared work should not be cut short by the one
         # stingiest request (its own deadline was already honoured at
@@ -960,7 +943,7 @@ class RetrievalService:
                 break
             if budget is None or request.budget.remaining > budget.remaining:
                 budget = request.budget
-        return self._scan(queries, ks, approximate, budget)
+        return self._scan(queries, ks, budget)
 
     def _scan_shard(
         self, index: int, attempt: Callable[[int], Any], budget: DeadlineBudget
@@ -999,7 +982,6 @@ class RetrievalService:
         self,
         queries: Sequence[QueryLike],
         ks: Sequence[int],
-        approximate: Sequence[bool],
         budget: Optional[DeadlineBudget] = None,
     ):
         """Every query's exact top-k, each shard read once for the batch.
@@ -1016,9 +998,7 @@ class RetrievalService:
         dropped after its retries degrades every page with
         ``"shard_failed"`` (``"store_block_corrupt"`` for a quarantined
         store block, plus ``"deadline"`` once the budget expired); only
-        when every shard fails does the scan itself raise.  A query
-        served approximately (load shedding) additionally carries
-        ``"overload"``.
+        when every shard fails does the scan itself raise.
         """
         if budget is None:
             budget = DeadlineBudget(None, clock=self._clock)
@@ -1031,7 +1011,7 @@ class RetrievalService:
             trace = self._pool_trace()
 
             def submit(index: int) -> "Future":
-                return pool.submit_batch(index, payloads, ks, approximate, trace)
+                return pool.submit_batch(index, payloads, ks, trace)
 
             first = {index: submit(index) for index in range(self._n_shards)}
 
@@ -1053,7 +1033,6 @@ class RetrievalService:
                     self._shard_offsets[index],
                     ks,
                     coarse=self._shard_coarse(index),
-                    approximate=approximate,
                 )
 
         shards = range(self._n_shards)
@@ -1104,6 +1083,7 @@ class RetrievalService:
                 shard_tags.append("shard_failed")
             if any(isinstance(e, StoreBlockCorrupt) for e in failures):
                 shard_tags.append("store_block_corrupt")
+        reasons = tuple(shard_tags)
         results = []
         total_pruned = 0
         total_refined = 0
@@ -1112,8 +1092,6 @@ class RetrievalService:
             distances = np.concatenate([part[position][1] for part in parts])
             total_pruned += sum(part[position][2] for part in parts)
             total_refined += sum(part[position][3] for part in parts)
-            exact = all(part[position][4] for part in parts)
-            reasons = tuple(shard_tags) + (() if exact else ("overload",))
             top = exact_top_k(distances, min(k, ids.shape[0]), tie_break=ids)
             results.append((ids[top], distances[top], reasons))
         if total_pruned:
@@ -1125,8 +1103,6 @@ class RetrievalService:
         self,
         queries: Sequence[QueryLike],
         ks: Optional[Sequence[int]] = None,
-        *,
-        approximate: Optional[Sequence[bool]] = None,
     ):
         """Synchronously scan an explicit micro-batch (no queueing).
 
@@ -1141,10 +1117,7 @@ class RetrievalService:
             ks_list = [self.k] * len(queries)
         else:
             ks_list = [self._clamp_k(k) for k in ks]
-        flags = (
-            [False] * len(queries) if approximate is None else list(approximate)
-        )
         for query in queries:
             ensure_compiled(query, scope=self._dataset_fingerprint)
         budget = self.resilience.budget(clock=self._clock)
-        return self._scan(queries, ks_list, flags, budget)
+        return self._scan(queries, ks_list, budget)

@@ -15,7 +15,7 @@ session API to network clients:
                                stamped with its estimated recall).
 ``POST /sessions/{id}/feedback``  absorb judgments ``{"relevant_ids":
                                [...], "scores"?, "k"?,
-                               "approximate"?}``; returns the
+                               "approximate"?: bool}``; returns the
                                refreshed page.
 ``DELETE /sessions/{id}``      close the session.
 ``GET /healthz``               liveness probe.
@@ -479,7 +479,9 @@ class RetrievalServer:
             relevant = payload.get("relevant_ids", [])
             scores = payload.get("scores")
             k = payload.get("k")
-            approximate = bool(payload.get("approximate", False))
+            approximate = payload.get("approximate", False)
+            if not isinstance(approximate, bool):
+                return 400, {"error": "'approximate' must be a JSON boolean"}
             page = await call(
                 lambda: self.service.feedback(
                     session_id, relevant, scores, k, approximate=approximate

@@ -133,13 +133,10 @@ class TestBatchedShardScan:
         ks = [10, 5, 20, 10]
         batched = scan_shard_topk_batch(queries, shard, 100, ks)
         assert len(batched) == len(queries)
-        for query, k, (ids, distances, pruned, refined, exact) in zip(
-            queries, ks, batched
-        ):
+        for query, k, (ids, distances, _, _) in zip(queries, ks, batched):
             solo_ids, solo_distances, _, _ = scan_shard_topk(query, shard, 100, k)
             assert ids.tobytes() == solo_ids.tobytes()
             assert distances.tobytes() == solo_distances.tobytes()
-            assert exact is True
 
     def test_progressive_batch_matches_solo_with_and_without_coarse(self):
         """At progressive-eligible dimension the batched level-0 pass
@@ -172,7 +169,7 @@ class TestBatchedShardScan:
         rng = np.random.default_rng(20)
         shard = rng.standard_normal((80, 4))  # below _MIN_DIMENSION
         query = random_query(rng, "inverse", g=2, p=4)
-        [(ids, distances, pruned, refined, exact)] = scan_shard_topk_batch(
+        [(ids, distances, pruned, refined)] = scan_shard_topk_batch(
             [query], shard, 0, [6]
         )
         reference = query.distances(shard)
@@ -180,4 +177,3 @@ class TestBatchedShardScan:
         assert ids.tolist() == top.tolist()
         np.testing.assert_array_equal(distances, reference[top])
         assert pruned == 0 and refined == shard.shape[0]
-        assert exact is True

@@ -134,8 +134,8 @@ class TestShardWorkerPool:
         payload = encode_query(query)
         with ShardWorkerPool(path, n_workers=1) as pool:
             for index in range(store.n_shards):
-                [(ids, distances, _, _, _)] = pool.submit_batch(
-                    index, [payload], [5], [False]
+                [(ids, distances, _, _)] = pool.submit_batch(
+                    index, [payload], [5]
                 ).result()
                 offset = store.row_offsets[index]
                 expected = scan_shard_topk(query, store.shard(index), offset, 5)
@@ -143,7 +143,7 @@ class TestShardWorkerPool:
                 np.testing.assert_array_equal(distances, expected[1])
             # A failing task pickles its exception back and is counted.
             with pytest.raises(IndexError):
-                pool.submit_batch(99, [payload], [5], [False]).result()
+                pool.submit_batch(99, [payload], [5]).result()
             stats = settled_stats(pool)
             assert stats["workers"] == 1
             assert stats["tasks_completed"] == store.n_shards
@@ -164,18 +164,13 @@ class TestPoolBatchScan:
         ks = [5, 7]
         with ShardWorkerPool(path, n_workers=1) as pool:
             for index in range(store.n_shards):
-                results = pool.submit_batch(
-                    index, payloads, ks, [False, False]
-                ).result()
+                results = pool.submit_batch(index, payloads, ks).result()
                 assert len(results) == len(queries)
                 offset = store.row_offsets[index]
-                for query, k, (ids, distances, _, _, exact) in zip(
-                    queries, ks, results
-                ):
+                for query, k, (ids, distances, _, _) in zip(queries, ks, results):
                     solo = scan_shard_topk(query, store.shard(index), offset, k)
                     assert ids.tobytes() == solo[0].tobytes()
                     assert distances.tobytes() == solo[1].tobytes()
-                    assert exact is True
             stats = settled_stats(pool)
             assert stats["tasks_completed"] == store.n_shards
 

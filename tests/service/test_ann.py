@@ -5,22 +5,30 @@ default stays byte-identical with the tier built, approximate pages
 are stamped ``ResultQuality(approximate, estimated_recall=...)`` and
 never silent, a mid-descent fault rescues through the exact scan as an
 announced ``ann_fallback``, provenance is sticky only once feedback
-consumed an approximate page, and a tripped degradation guard can
-prefer the ANN tier over the exact fallback scan.
+consumed an approximate page, and a tripped degradation guard always
+lands on the exact fallback scan, never on the tier.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, activate_faults
 from repro.index.tree import SpillTreeConfig
-from repro.service import RetrievalService
+from repro.service import BatchingConfig, RetrievalService
 
 #: Small leaves so the 120-row test database actually splits and the
 #: defeatist descent is a real approximation, not a full scan.
 ANN_CONFIG = SpillTreeConfig(leaf_capacity=16, max_leaves=4)
+
+#: Shed at a queue depth of 2 (well below the backpressure bound).
+SHED_CONFIG = BatchingConfig(
+    max_batch=1, max_wait_s=0.0, max_pending=8, shed_threshold=2
+)
 
 DESCEND_OUTAGE = FaultPlan(
     specs=(FaultSpec(site="index.descend", kind="error", probability=1.0),)
@@ -110,8 +118,10 @@ class TestApproximateServing:
                 service.query(session, approximate=True)
             with pytest.raises(ValueError, match="ann"):
                 service.feedback(session, [0], approximate=True)
-        with pytest.raises(ValueError, match="prefer_ann"):
-            RetrievalService(database, k=10, prefer_ann=True)
+        # Shed batching traffic is served by the tier, so shedding
+        # without one is rejected when the service is built.
+        with pytest.raises(ValueError, match="ann=True"):
+            RetrievalService(database, k=10, batching=SHED_CONFIG)
 
     def test_feedback_on_an_approximate_page_is_sticky(self, database):
         """Once feedback consumed an approximate page the trajectory
@@ -155,23 +165,10 @@ class TestFallback:
 
 
 class TestPreferAnn:
-    def test_tripped_guard_lands_on_the_ann_tier(self, database):
-        """With ``prefer_ann`` a deadline-tripped session is served by
-        the spill tree — announced — instead of the exact fallback."""
-        with ann_service(
-            database,
-            prefer_ann=True,
-            soft_deadline_s=1e-9,  # every index search misses
-            deadline_trip=1,
-        ) as service:
-            session = service.create_session(3)
-            first = service.query(session)  # index search, trips the guard
-            assert first.quality.level == "exact"
-            second = service.query(session, k=9)  # new state, guard active
-            assert second.quality.level == "approximate"
-            assert second.quality.reasons == ("ann",)
-
     def test_without_prefer_ann_the_fallback_stays_exact(self, database):
+        """A deadline-tripped session on a service with the tier built
+        still takes the lossless exact fallback scan: the tier serves
+        only requests that ask for it and shed batching traffic."""
         with ann_service(
             database, soft_deadline_s=1e-9, deadline_trip=1
         ) as service:
@@ -179,3 +176,70 @@ class TestPreferAnn:
             service.query(session)
             page = service.query(session, k=9)
             assert page.quality.level == "exact"
+
+
+class TestLoadShedding:
+    """Past ``shed_threshold`` a batching request skips the queue and is
+    served from the ANN tier; everything that queued stays exact."""
+
+    def test_shed_pages_come_from_the_tier_and_queued_pages_stay_exact(
+        self, database
+    ):
+        with ann_service(
+            database, use_index=False, cache_size=0, batching=SHED_CONFIG
+        ) as service:
+            executor = service.batching
+            entered, gate = threading.Event(), threading.Event()
+            execute = executor._execute
+
+            def held_execute(requests):
+                # The first batch parks the dispatcher until released.
+                entered.set()
+                gate.wait(10.0)
+                return execute(requests)
+
+            executor._execute = held_execute
+            relevant = {f"s{i}": [3 * i, 3 * i + 1] for i in range(5)}
+            for session_id, ids in relevant.items():
+                service.create_session(ids[0], session_id=session_id)
+            pages = {}
+
+            def feedback(session_id):
+                pages[session_id] = service.feedback(session_id, relevant[session_id])
+
+            threads = [threading.Thread(target=feedback, args=("s0",))]
+            threads[0].start()
+            assert entered.wait(10.0)
+            for session_id in ("s1", "s2"):
+                threads.append(threading.Thread(target=feedback, args=(session_id,)))
+                threads[-1].start()
+            deadline = time.monotonic() + 10.0
+            while executor.queue_depth < 2:
+                assert time.monotonic() < deadline, "queue never filled"
+                time.sleep(0.001)
+            # The queue is at the threshold: these two never enqueue.
+            for session_id in ("s3", "s4"):
+                feedback(session_id)
+            gate.set()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            stats = executor.stats()
+
+            shed, queued = ("s3", "s4"), ("s0", "s1", "s2")
+            for session_id in shed:
+                quality = pages[session_id].quality
+                assert quality.level == "approximate"
+                assert quality.reasons == ("ann",)
+                assert quality.estimated_recall == service.ann_tree.calibrated_recall
+            assert stats["shed"] == len(shed)
+            assert stats["batched_queries"] == len(queued)
+            for session_id in queued:
+                page = pages[session_id]
+                assert page.quality.level == "exact"
+                with service.store.lease(session_id) as session:
+                    query = session.query
+                [(ids, distances, reasons)] = service.scan_batch([query], [service.k])
+                assert reasons == ()
+                assert page.ids.tobytes() == ids.tobytes()
+                assert page.distances.tobytes() == distances.tobytes()

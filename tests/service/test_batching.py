@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import compile_query
+from repro.obs import TailSamplingPolicy, Tracer
 from repro.service.batching import (
     BatchingConfig,
     BatchingExecutor,
@@ -71,7 +72,7 @@ class RecordingExecute:
         self._first = True
 
     def __call__(self, batch):
-        self.batches.append([(r.payload, r.tenant, r.approximate) for r in batch])
+        self.batches.append([(r.payload, r.tenant) for r in batch])
         if self.gate is not None and self._first:
             self._first = False
             self.gate.wait(10.0)
@@ -96,6 +97,18 @@ class TestConfigValidation:
     def test_rejects_zero_shed_threshold(self):
         with pytest.raises(ValueError, match="shed_threshold"):
             BatchingConfig(shed_threshold=0)
+
+    @pytest.mark.parametrize("threshold", [16, 17])
+    def test_rejects_shed_threshold_at_or_past_max_pending(self, threshold):
+        """Submitters block at ``max_pending``, so the queue never gets
+        deeper: a threshold there or beyond could never shed."""
+        with pytest.raises(ValueError, match="max_pending"):
+            BatchingConfig(max_pending=16, shed_threshold=threshold)
+
+    def test_shed_threshold_needs_a_shed_target(self):
+        config = BatchingConfig(max_pending=16, shed_threshold=2)
+        with pytest.raises(ValueError, match="ann=True"):
+            BatchingExecutor(RecordingExecute(), config=config)
 
     def test_defaults_are_valid(self):
         config = BatchingConfig()
@@ -137,7 +150,7 @@ class TestCoalescing:
             execute, config=BatchingConfig(max_wait_s=0.001)
         ) as executor:
             assert executor.submit("q0", KEY_A, 10) == ("served", "q0")
-        assert execute.batches == [[("q0", "default", False)]]
+        assert execute.batches == [[("q0", "default")]]
 
     def test_full_batch_dispatches_together(self):
         """With a long wait window, a full batch still goes immediately —
@@ -170,11 +183,11 @@ class TestCoalescing:
             first.join()
             for submitter in mixed:
                 submitter.join()
-        served = sorted(p for batch in execute.batches for p, _, _ in batch)
+        served = sorted(p for batch in execute.batches for p, _ in batch)
         assert served == ["a0", "a1", "b0", "b1", "seed"]
         # No batch mixes an "a" payload with a "b" payload.
         for batch in execute.batches:
-            initials = {payload[0] for payload, _, _ in batch}
+            initials = {payload[0] for payload, _ in batch}
             assert not ({"a", "b"} <= initials)
 
     def test_stats_shape(self):
@@ -263,7 +276,7 @@ class TestTenantFairness:
         # Batch #2 (first after the seed) must contain both tenants.
         second = execute.batches[1]
         assert len(second) == 4
-        tenants = [tenant for _, tenant, _ in second]
+        tenants = [tenant for _, tenant in second]
         assert "light" in tenants and "flood" in tenants
         stats = executor.stats()
         assert stats["tenants_served"] == {"flood": 6, "light": 2, "warm": 1}
@@ -286,7 +299,7 @@ class TestTenantFairness:
         tenant_order = [
             payload
             for batch in execute.batches
-            for payload, tenant, _ in batch
+            for payload, tenant in batch
             if tenant == "t"
         ]
         assert tenant_order == ["q0", "q1", "q2", "q3"]
@@ -345,32 +358,6 @@ class TestBackpressure:
                 submitter.join()
             assert blocked.join() == ("served", "over")
 
-    def test_shed_threshold_marks_requests_approximate(self):
-        gate = threading.Event()
-        execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(
-            max_batch=8, max_wait_s=0.0, max_pending=16, shed_threshold=2
-        )
-        with BatchingExecutor(execute, config=config) as executor:
-            first = Submitter(executor, "seed")
-            wait_for(lambda: len(execute.batches) == 1)
-            # Queue grows 1, 2, 3: the third arrival sees pending >= 2.
-            queued = []
-            for i in range(3):
-                queued.append(Submitter(executor, f"q{i}"))
-                wait_for(lambda: executor.queue_depth == i + 1)
-            gate.set()
-            first.join()
-            for submitter in queued:
-                submitter.join()
-        flags = {
-            payload: approximate
-            for batch in execute.batches
-            for payload, _, approximate in batch
-        }
-        assert flags == {"seed": False, "q0": False, "q1": False, "q2": True}
-        assert executor.stats()["shed"] == 1
-
     def test_shed_to_serves_inline_off_the_queue(self):
         """With a shed target, shed requests never ride a micro-batch:
         they are served on the submitter's own thread by ``shed_to``."""
@@ -401,8 +388,37 @@ class TestBackpressure:
         assert shed_served == ["q2"]
         assert executor.stats()["shed"] == 1
         # Shed payloads never reached the batch path.
-        batched = {p for batch in execute.batches for p, _, _ in batch}
+        batched = {p for batch in execute.batches for p, _ in batch}
         assert "q2" not in batched
+
+    def test_shed_request_leaves_a_batch_shed_event(self):
+        """A shed page is approximate: its trace records why, and the
+        tail sampler keeps it for that reason alone."""
+        gate = threading.Event()
+        execute = RecordingExecute(gate=gate)
+        tracer = Tracer(tail_sampling=TailSamplingPolicy(keep_probability=0.0))
+        config = BatchingConfig(
+            max_batch=8, max_wait_s=0.0, max_pending=16, shed_threshold=1
+        )
+        executor = BatchingExecutor(
+            execute, shed_to=lambda request: "ann", config=config
+        )
+        with executor:
+            first = Submitter(executor, "seed")
+            wait_for(lambda: len(execute.batches) == 1)
+            queued = Submitter(executor, "q0")
+            wait_for(lambda: executor.queue_depth == 1)
+            with tracer.span("feedback"):
+                assert executor.submit("q1", KEY_A, 10) == "ann"
+            gate.set()
+            first.join()
+            queued.join()
+        (trace,) = tracer.traces()
+        events = [event for event in trace["events"] if event["name"] == "batch_shed"]
+        assert [event["fields"] for event in events] == [
+            {"queue_depth": 1, "threshold": 1}
+        ]
+        assert tracer.aggregates()["tail"]["kept_interesting"] == 1
 
 
 class TestRecovery:

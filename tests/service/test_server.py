@@ -533,3 +533,19 @@ class TestApproximateOverHTTP:
         # Divergent trajectory: the exact path now reports it honestly.
         _, later = call(conn, "GET", f"/sessions/{session_id}/page?k=5")
         assert later["quality"]["level"] == "approximate"
+
+    @pytest.mark.parametrize("flag", ["false", 0])
+    def test_feedback_flag_must_be_a_json_boolean(self, ann_conn, flag):
+        """A truthy string must not silently opt into the ANN tier."""
+        conn, service = ann_conn
+        _, created = call(conn, "POST", "/sessions", {"query": 5})
+        session_id = created["session_id"]
+        status, body = call(
+            conn,
+            "POST",
+            f"/sessions/{session_id}/feedback",
+            {"relevant_ids": [5, 6], "k": 5, "approximate": flag},
+        )
+        assert status == 400
+        assert "JSON boolean" in body["error"]
+        assert service.metrics_snapshot()["counters"].get("ann_scans", 0) == 0

@@ -313,6 +313,33 @@ class TestServeCommand:
         assert not args.use_index
         assert not args.self_test
 
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (["--shed-threshold", "4"], "--ann"),
+            (["--ann", "--shed-threshold", "300"], "max_pending"),
+        ],
+    )
+    def test_shed_threshold_is_rejected_before_binding(
+        self, capsys, monkeypatch, options, named
+    ):
+        """A threshold that cannot shed (no ANN tier to shed to, or at
+        or past the backpressure bound) is a usage error, not a server."""
+        import repro.service
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("the server must not be built")
+
+        monkeypatch.setattr(repro.service, "RetrievalServer", no_server)
+        exit_code = main(
+            ["serve", "--port", "0", "--categories", "2", "--images-per-category", "5"]
+            + options
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_self_test_runs_the_closed_loop_load(self, capsys):
         exit_code = main(
             [
