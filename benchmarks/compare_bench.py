@@ -236,12 +236,12 @@ def collect_batching_metrics() -> dict:
     query mix — each session's round-0 single-point query plus its
     adaptive multi-cluster feedback queries — once against the
     in-memory float64 matrix and once against a feature store carrying
-    PCA ``coarse`` companion blocks (the level-0 source unique to the
-    batched store scan), plus the batched scan's pruning fraction.
+    PCA ``coarse`` companion blocks (written and verified, read by no
+    scan), plus the batched scan's pruning fraction.
     """
     import tempfile
 
-    from repro.parallel import scan_shard_topk, shard_coarse_level0
+    from repro.parallel import scan_shard_topk
     from repro.store import FeatureStore, build_store
 
     database = build_database()
@@ -299,10 +299,8 @@ def collect_batching_metrics() -> dict:
             database, Path(tmp_dir) / "bench.qcs", n_shards=1, coarse_dims=8
         )
         store = FeatureStore.open(store_path)
-        coarse = shard_coarse_level0(store, 0)
         solo_pages = [
-            scan_shard_topk(query, store.shard(0), 0, K, coarse=coarse)[:2]
-            for query in queries
+            scan_shard_topk(query, store.shard(0), 0, K)[:2] for query in queries
         ]
         with RetrievalService(store, k=K, use_index=False, cache_size=0) as service:
             metrics["batching.coarse_page_match_fraction"] = match_fraction(

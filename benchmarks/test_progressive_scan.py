@@ -1,8 +1,9 @@
 """Progressive filter-and-refine scan benchmark: the Eq. 5 cost claim.
 
 Times the naive full scan (every row pays the complete aggregate
-distance) against :func:`repro.core.progressive.progressive_topk`,
-which scores a whitened dimension prefix, prunes rows whose monotone
+distance) against :class:`repro.index.linear.LinearScan`, whose
+:func:`repro.core.progressive.progressive_topk` path scores a
+whitened dimension prefix, prunes rows whose monotone
 Eq. 5 lower bound already exceeds the running k-th best, and refines
 only the survivors.  The orderings must be byte-identical — the filter
 may only ever change *cost* — and that identity is asserted in every
@@ -33,12 +34,8 @@ import pytest
 
 from repro.core.covariance import get_scheme
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.core.progressive import (
-    ProgressiveScan,
-    exact_top_k,
-    progressive_topk,
-    use_progressive,
-)
+from repro.core.progressive import exact_top_k, progressive_topk, use_progressive
+from repro.index.linear import LinearScan
 
 SMALL = os.environ.get("QCLUSTER_BENCH_SMALL", "") == "1"
 
@@ -112,6 +109,7 @@ def payload():
         for mix, schemes in SCHEME_MIXES.items()
     }
 
+    scan = LinearScan(database)
     timed = {}
     stats = {}
     for mix, query in queries.items():
@@ -120,34 +118,33 @@ def payload():
                 query.distances(database)
 
         def progressive_run(query=query):
-            ProgressiveScan(database).knn(query, K)
+            scan.knn(query, K)
 
         full_run()  # warm-up: kernel compile + allocations
         progressive_run()  # warm-up: plan + scan-context build
-        result = ProgressiveScan(database).knn(query, K)
-        stats[mix] = result.stats
+        # None: the plan is ineligible and LinearScan scans in full.
+        stats[mix] = progressive_topk(database, query, K)
         timed[f"{mix}:full"] = full_run
         timed[f"{mix}:progressive"] = progressive_run
     best = interleaved_best_of(timed)
 
     scans = {}
     for mix in SCHEME_MIXES:
-        mix_stats = stats[mix]
-        eligible = bool(mix_stats.schedule)
-        survivors = list(mix_stats.survivors_per_level)
+        result = stats[mix]
+        eligible = result is not None
+        refined = result.stats.refined if eligible else N
+        survivors = list(result.stats.survivors_per_level) if eligible else []
         entry = {
             "eligible": eligible,
             "full_seconds": best[f"{mix}:full"],
             "progressive_seconds": best[f"{mix}:progressive"],
             "speedup": best[f"{mix}:full"] / best[f"{mix}:progressive"],
-            "candidates_refined": mix_stats.refined,
-            "candidates_pruned": mix_stats.pruned,
-            "refine_fraction": mix_stats.refine_fraction,
-            "schedule": list(mix_stats.schedule),
+            "candidates_refined": refined,
+            "candidates_pruned": N - refined,
+            "refine_fraction": refined / N,
+            "schedule": list(result.stats.schedule) if eligible else [],
             "survivors_per_level": survivors,
-            "pruning_rate_per_level": [
-                1.0 - alive / mix_stats.filtered for alive in survivors
-            ],
+            "pruning_rate_per_level": [1.0 - alive / N for alive in survivors],
         }
         if not eligible:
             entry["note"] = (
@@ -184,7 +181,7 @@ class TestProgressiveScanBenchmark:
         database = anisotropic_database(rng)
         for mix, schemes in SCHEME_MIXES.items():
             query = feedback_query(database, rng, schemes)
-            result = ProgressiveScan(database).knn(query, K)
+            result = LinearScan(database).knn(query, K)
             with use_progressive(False):
                 reference = query.distances(database)
             top = exact_top_k(reference, K)

@@ -50,7 +50,6 @@ from .core import (
     ClusterMerger,
     CompiledQuery,
     DisjunctiveQuery,
-    ProgressiveScan,
     QclusterConfig,
     QclusterEngine,
     compile_query,
@@ -97,7 +96,6 @@ __all__ = [
     "CompiledQuery",
     "compile_query",
     "use_kernels",
-    "ProgressiveScan",
     "use_progressive",
     "DisjunctiveQuery",
     "QclusterConfig",

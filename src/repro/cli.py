@@ -1034,7 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--coarse-dims",
         type=int,
         default=0,
-        help="PCA-prefix companion block width (0 = none)",
+        help="PCA-prefix companion block width (0 = none); written and "
+        "verified, read by no scan",
     )
     store_build.set_defaults(func=cmd_store)
     store_verify = store_sub.add_parser("verify", help="re-check every block CRC")

@@ -34,7 +34,6 @@ from .pca import PCA, select_dimension_by_variance, t2_in_pc_basis
 from .progressive import (
     ProgressivePlan,
     ProgressiveResult,
-    ProgressiveScan,
     ScanStats,
     exact_top_k,
     progressive_enabled,
@@ -76,7 +75,6 @@ __all__ = [
     "pairwise_merge_test",
     "ProgressivePlan",
     "ProgressiveResult",
-    "ProgressiveScan",
     "ScanStats",
     "exact_top_k",
     "progressive_enabled",

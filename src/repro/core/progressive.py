@@ -45,11 +45,10 @@ falls back to its classic full scan), mirroring ``use_kernels``.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,11 +60,9 @@ __all__ = [
     "exact_top_k",
     "prune_threshold",
     "default_schedule",
-    "CoarseLevel0",
     "ProgressivePlan",
     "ScanStats",
     "ProgressiveResult",
-    "ProgressiveScan",
     "plan_for",
     "progressive_topk",
     "progressive_topk_batch",
@@ -93,7 +90,7 @@ _RELATIVE_SLACK = 1e-9
 _ABSOLUTE_SLACK = 1e-12
 
 #: Attribute memoizing the plan (or its absence) on a compiled query.
-_PLAN_ATTRIBUTE = "_progressive_plan"
+_PLAN_ATTRIBUTE = "_prefix_plan"
 
 #: Rows sampled (strided) to estimate per-coordinate mass for ordering.
 _SAMPLE_ROWS = 256
@@ -104,15 +101,6 @@ _MIN_REFINE_BLOCK = 256
 #: Per-plan cap on cached per-database scan contexts (each shard of a
 #: sharded scan keys its own context).
 _MAX_CONTEXTS = 8
-
-#: Safety shave (in *root*-distance space) applied to coarse-companion
-#: bounds: the stored PCA projections are float32, so the computed
-#: ``‖z − z_c‖`` can overshoot the true projected distance by rounding
-#: noise.  Shaving a relative margin of this size before squaring keeps
-#: a coarse bound from ever exceeding the distance it bounds by more
-#: than the pruning slack absorbs (float32 eps is ≈6e-8; 1e-5 leaves
-#: two orders of magnitude of headroom).
-_COARSE_MARGIN = 1e-5
 
 #: Target element count of one batched level-0 product tile
 #: ``(rows, Σ_i g_i·t0)`` — large enough that the per-tile Python
@@ -183,26 +171,11 @@ class _DiagonalPrefix:
 
     The basis is already diagonal: ``d² = Σ_j w_j (x_j − c_j)²`` with
     ``w_j ≥ 0``, so any subset of coordinates lower-bounds the total.
-    The default order takes the largest weights first.
     """
 
     def __init__(self, kernel: DiagonalKernel) -> None:
         self.center = kernel.center
         self.weights = np.maximum(kernel.diagonal, 0.0)
-        self.default_order = np.argsort(-self.weights, kind="stable")
-
-    def partial(
-        self, rows: np.ndarray, lo: int, hi: int, order: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        cols = (self.default_order if order is None else order)[lo:hi]
-        block = rows[:, cols] - self.center[cols]
-        np.multiply(block, block, out=block)
-        return block @ self.weights[cols]
-
-    def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        # Exact per-axis bound — identical to the classic tree bound.
-        delta = np.maximum(np.maximum(low - self.center, self.center - high), 0.0)
-        return np.sum(self.weights * delta * delta, axis=1)
 
     def data_order(self, sample: np.ndarray) -> np.ndarray:
         centered = sample - self.center
@@ -220,7 +193,7 @@ class _WhitenedPrefix:
     kernels, so bound arithmetic can never perturb a ranking.
     """
 
-    def __init__(self, kernel: CholeskyKernel, node_t: int) -> None:
+    def __init__(self, kernel: CholeskyKernel) -> None:
         self.center = kernel.center
         eigenvalues, eigenvectors = np.linalg.eigh(kernel.inverse)
         order = np.argsort(-eigenvalues, kind="stable")
@@ -228,38 +201,6 @@ class _WhitenedPrefix:
         self.transform = np.ascontiguousarray(
             eigenvectors[:, order] * np.sqrt(eigenvalues)
         )
-        self.lambda_min = float(eigenvalues[-1] if eigenvalues.size else 0.0)
-        # Interval-arithmetic node bound operands (first node_t columns).
-        self.node_transform = np.ascontiguousarray(self.transform[:, :node_t])
-        self.node_abs = np.abs(self.node_transform)
-
-    def partial(
-        self, rows: np.ndarray, lo: int, hi: int, order: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if order is None:
-            cols = self.transform[:, lo:hi]
-        else:
-            cols = self.transform[:, order[lo:hi]]
-        transformed = (rows - self.center) @ cols
-        return np.einsum("ij,ij->i", transformed, transformed)
-
-    def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Per box, the max of the interval bound and the classic λ_min bound.
-
-        For ``x`` in a box, the j-th whitened coordinate lies in
-        ``m_j ± r_j`` with ``m`` the transformed box midpoint and
-        ``r = half · |T|`` (triangle inequality), so
-        ``Σ max(0, |m_j| − r_j)²`` over any column subset lower-bounds
-        ``d²``.  Shaved by the relative slack to absorb float error.
-        """
-        mid = 0.5 * (low + high) - self.center
-        half = 0.5 * (high - low)
-        m = mid @ self.node_transform
-        r = half @ self.node_abs
-        interval = np.sum(np.maximum(np.abs(m) - r, 0.0) ** 2, axis=1)
-        delta = np.maximum(np.maximum(low - self.center, self.center - high), 0.0)
-        classic = self.lambda_min * np.sum(delta * delta, axis=1)
-        return np.maximum(interval * (1.0 - _RELATIVE_SLACK), classic)
 
     def data_order(self, sample: np.ndarray) -> np.ndarray:
         transformed = (sample - self.center) @ self.transform
@@ -356,13 +297,12 @@ class ProgressivePlan:
     def __init__(self, compiled: CompiledQuery) -> None:
         self.dimension = compiled.dimension
         self.schedule = default_schedule(self.dimension)
-        node_t = self.schedule[min(1, len(self.schedule) - 1)]
         prefixes: List[object] = []
         for kernel in compiled.kernels:
             if isinstance(kernel, DiagonalKernel):
                 prefixes.append(_DiagonalPrefix(kernel))
             elif isinstance(kernel, CholeskyKernel):
-                prefixes.append(_WhitenedPrefix(kernel, node_t))
+                prefixes.append(_WhitenedPrefix(kernel))
             else:  # pragma: no cover - plan_for filters these out
                 raise TypeError(f"no prefix evaluator for {kernel!r}")
         self.prefixes = prefixes
@@ -383,11 +323,6 @@ class ProgressivePlan:
     def size(self) -> int:
         """Number of clusters."""
         return len(self.prefixes)
-
-    @property
-    def has_whitened(self) -> bool:
-        """Whether any cluster carries a full (whitened) inverse."""
-        return bool(self._whitened)
 
     def scan_context(self, vectors: np.ndarray) -> _ScanContext:
         """The cached :class:`_ScanContext` for this database (or shard).
@@ -425,30 +360,6 @@ class ProgressivePlan:
             sample = vectors[:: n // _SAMPLE_ROWS][:_SAMPLE_ROWS]
         return [prefix.data_order(sample) for prefix in self.prefixes]
 
-    def prefix_distances(
-        self,
-        rows: np.ndarray,
-        lo: int,
-        hi: int,
-        orders: Optional[Sequence[np.ndarray]] = None,
-    ) -> np.ndarray:
-        """``(g, N)`` partial distances over coordinates ``[lo, hi)``.
-
-        Partial sums over disjoint coordinate ranges are additive, so
-        escalating a bound from ``t0`` to ``t1`` costs only the
-        ``[t0, t1)`` increment.
-        """
-        out = np.empty((len(self.prefixes), rows.shape[0]))
-        for position, prefix in enumerate(self.prefixes):
-            order = None if orders is None else orders[position]
-            out[position] = prefix.partial(rows, lo, hi, order)
-        return out
-
-    def box_lower_bounds(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """``(g, m)`` per-cluster lower bounds of the quadratic distance
-        to each of ``m`` boxes given as ``(m, p)`` corner arrays."""
-        return np.stack([prefix.box_lower_bounds(low, high) for prefix in self.prefixes])
-
 
 def plan_for(compiled: CompiledQuery) -> Optional[ProgressivePlan]:
     """The compiled query's progressive plan, or ``None`` if ineligible.
@@ -483,139 +394,6 @@ def plan_for(compiled: CompiledQuery) -> Optional[ProgressivePlan]:
 
 
 # ----------------------------------------------------------------------
-# Coarse companion blocks as a level-0 bound source
-# ----------------------------------------------------------------------
-
-
-class CoarseLevel0:
-    """Precomputed PCA projections serving as level-0 lower bounds.
-
-    The feature store can carry ``coarse/NNNN`` companion blocks: the
-    shard rows projected onto the dataset's top ``c`` principal
-    directions, ``z = (x − μ) V'`` with orthonormal rows ``V`` of shape
-    ``(c, p)``.  Because an orthogonal projection never lengthens a
-    vector, every cluster with smallest inverse-covariance eigenvalue
-    ``λ_min`` satisfies
-
-        d²(x) ≥ λ_min · ‖x − c‖² ≥ λ_min · ‖P(x − c)‖²
-              = λ_min · ‖z − z_c‖²,   z_c = (c − μ) V',
-
-    so the *stored* projections replace the per-query level-0 prefix
-    transform of :func:`progressive_topk` — the dominant full-database
-    GEMM of a store-backed scan — with one small ``(N, c) @ (c, g)``
-    product against precomputed data.  The projections are float32, so
-    the computed root distance is shaved by :data:`_COARSE_MARGIN`
-    (relative to the participating magnitudes) before squaring; the
-    shave can only weaken a bound, never invalidate it, and the exact
-    path is untouched, so rankings stay byte-identical either way.
-
-    Args:
-        projected: ``(N, c)`` projected rows (the store's coarse block;
-            float32 accepted and promoted exactly).
-        mean: the projection's centering vector ``μ`` of shape ``(p,)``.
-        components: the orthonormal component rows ``V`` of shape
-            ``(c, p)``.
-    """
-
-    def __init__(
-        self, projected: np.ndarray, mean: np.ndarray, components: np.ndarray
-    ) -> None:
-        self.z = np.ascontiguousarray(projected, dtype=float)
-        if self.z.ndim != 2:
-            raise ValueError(f"projected must be 2-D, got shape {self.z.shape}")
-        self.mean = np.ascontiguousarray(mean, dtype=float)
-        self.components = np.ascontiguousarray(components, dtype=float)
-        if self.components.shape != (self.z.shape[1], self.mean.shape[0]):
-            raise ValueError(
-                f"components shape {self.components.shape} inconsistent with "
-                f"{self.z.shape[1]} projected dims over {self.mean.shape[0]} features"
-            )
-        self.row_norms = np.einsum("ij,ij->i", self.z, self.z)
-        self.row_scales = np.sqrt(self.row_norms)
-        self._lock = threading.Lock()
-        self._cluster_stats: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def matches(self, n_rows: int, dimension: int) -> bool:
-        """Whether this block covers an ``(n_rows, dimension)`` scan."""
-        return (
-            self.z.shape[0] == n_rows
-            and self.components.shape[1] == dimension
-            and self.z.shape[1] > 0
-        )
-
-    def _stats_for(self, plan: "ProgressivePlan"):
-        """Per-cluster ``(z_c, ‖z_c‖, λ_min)`` operands, cached per plan.
-
-        Keyed weakly by the plan object itself, so a recycled ``id()``
-        after garbage collection can never alias another plan's
-        centers (bound validity depends on the pairing being right).
-        """
-        with self._lock:
-            cached = self._cluster_stats.get(plan)
-            if cached is not None:
-                return cached
-        centers = np.stack([prefix.center for prefix in plan.prefixes])
-        lambdas = np.array(
-            [
-                prefix.lambda_min
-                if isinstance(prefix, _WhitenedPrefix)
-                else float(prefix.weights.min()) if prefix.weights.size else 0.0
-                for prefix in plan.prefixes
-            ]
-        )
-        projected_centers = (centers - self.mean) @ self.components.T
-        center_norms = np.einsum("ij,ij->i", projected_centers, projected_centers)
-        cached = (
-            projected_centers,
-            np.sqrt(center_norms),
-            center_norms,
-            np.maximum(lambdas, 0.0),
-        )
-        with self._lock:
-            self._cluster_stats[plan] = cached
-        return cached
-
-    def lower_bounds(self, plans: Sequence["ProgressivePlan"]) -> List[np.ndarray]:
-        """Per-cluster level-0 bounds for one or more plans, one GEMM.
-
-        Every plan's projected cluster centers are stacked so the whole
-        micro-batch shares a single ``(N, c) @ (c, Σ g_i)`` product —
-        the cross-query amortization the batching executor exists for.
-
-        Returns one ``(g_i, N)`` bound matrix per plan, in order.
-        """
-        stats = [self._stats_for(plan) for plan in plans]
-        if not stats:
-            return []
-        all_centers = np.concatenate([entry[0] for entry in stats])
-        # Expansion form: ‖z − z_c‖² = ‖z‖² − 2 z·z_c + ‖z_c‖², with the
-        # cross term for every query and cluster in one product.
-        cross = self.z @ all_centers.T
-        results: List[np.ndarray] = []
-        offset = 0
-        for projected_centers, center_scales, center_norms, lambdas in stats:
-            g = projected_centers.shape[0]
-            block = cross[:, offset : offset + g]
-            offset += g
-            raw = self.row_norms[:, None] - 2.0 * block + center_norms[None, :]
-            np.maximum(raw, 0.0, out=raw)
-            np.sqrt(raw, out=raw)
-            # Shave the float32 rounding headroom in root space, then
-            # square back; clamped at zero so a tiny distance yields a
-            # (valid, vacuous) zero bound rather than a negative one.
-            raw -= _COARSE_MARGIN * (
-                self.row_scales[:, None] + center_scales[None, :] + 1.0
-            )
-            np.maximum(raw, 0.0, out=raw)
-            np.multiply(raw, raw, out=raw)
-            raw *= lambdas[None, :]
-            results.append(np.ascontiguousarray(raw.T))
-        return results
-
-
-# ----------------------------------------------------------------------
 # The progressive scan
 # ----------------------------------------------------------------------
 
@@ -631,9 +409,6 @@ class ScanStats:
         schedule: the prefix schedule used.
         survivors_per_level: candidates still alive after the filter at
             each schedule level (before block-wise refinement).
-        level0: where the level-0 bounds came from — ``"prefix"`` (the
-            plan's own transform), ``"coarse"`` (the store's PCA
-            companion blocks) or ``"full"`` (no filtering happened).
     """
 
     filtered: int
@@ -641,7 +416,6 @@ class ScanStats:
     pruned: int
     schedule: Tuple[int, ...]
     survivors_per_level: Tuple[int, ...]
-    level0: str = "prefix"
 
     @property
     def refine_fraction(self) -> float:
@@ -656,13 +430,6 @@ class ProgressiveResult:
     indices: np.ndarray
     distances: np.ndarray
     stats: ScanStats
-
-
-def _full_scan_stats(n: int) -> ScanStats:
-    return ScanStats(
-        filtered=n, refined=n, pruned=0, schedule=(), survivors_per_level=(),
-        level0="full",
-    )
 
 
 def _prepare(vectors: np.ndarray, query, k: int):
@@ -697,26 +464,18 @@ def _scan_from_level0(
     plan: ProgressivePlan,
     context: _ScanContext,
     k: int,
-    lower: np.ndarray,
-    per_cluster0: Optional[np.ndarray],
-    ranges: Sequence[Tuple[int, int]],
-    level0: str,
+    per_cluster0: np.ndarray,
 ) -> ProgressiveResult:
-    """Seed / escalate / refine from precomputed level-0 bounds.
+    """Seed / escalate / refine from the level-0 prefix partial sums.
 
     Args:
-        lower: ``(N,)`` aggregate lower bounds for every candidate.
-        per_cluster0: the ``(g, N)`` per-cluster values ``lower`` came
-            from *when they are prefix partial sums* (the escalation
-            accumulator then continues from them); ``None`` when the
-            level-0 bounds are not additive with the prefix ranges
-            (the coarse-companion source) — accumulation then restarts
-            at zero and ``ranges`` must begin at coordinate 0.
-        ranges: escalation coordinate ranges ``(lo, hi)``, applied
-            additively in order.
+        per_cluster0: the ``(g, N)`` per-cluster partial sums over the
+            schedule's first prefix ``[0, t0)``; each escalation range
+            ``[t_i, t_{i+1})`` adds its increment to them.
     """
     n = vectors.shape[0]
     schedule = plan.schedule
+    lower = np.asarray(combine(per_cluster0))
 
     # --- Seed the threshold: refine the k most promising candidates.
     seed = np.argpartition(lower, k - 1)[:k]
@@ -733,14 +492,11 @@ def _scan_from_level0(
     alive = np.nonzero(~refined_mask & (lower <= prune_threshold(tau)))[0]
     survivors_per_level = [int(alive.shape[0])]
 
-    # --- Escalate: tighten surviving bounds through the ranges.
-    per_cluster_alive = (
-        np.zeros((plan.size, alive.shape[0]))
-        if per_cluster0 is None
-        else per_cluster0[:, alive]
-    )
+    # --- Escalate: tighten surviving bounds through the middle levels
+    # (the last level is the exact distance, which refinement computes).
+    per_cluster_alive = per_cluster0[:, alive]
     bounds = lower[alive]
-    for lo, hi in ranges:
+    for lo, hi in zip(schedule[:-2], schedule[1:-1]):
         if alive.shape[0] == 0:
             break
         per_cluster_alive = per_cluster_alive + context.prefix_distances(
@@ -786,7 +542,6 @@ def _scan_from_level0(
         pruned=n - refined,
         schedule=schedule,
         survivors_per_level=tuple(survivors_per_level),
-        level0=level0,
     )
     add_event(
         "progressive_scan",
@@ -795,23 +550,13 @@ def _scan_from_level0(
         pruned=stats.pruned,
         schedule=list(schedule),
         survivors_per_level=list(stats.survivors_per_level),
-        level0=level0,
     )
     return ProgressiveResult(
         indices=best_ids, distances=best_distances, stats=stats
     )
 
 
-def _mid_ranges(schedule: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    """The escalation ranges between level 0 and the final (exact) level."""
-    return [
-        (schedule[i], schedule[i + 1]) for i in range(len(schedule) - 2)
-    ]
-
-
-def progressive_topk(
-    vectors: np.ndarray, query, k: int, *, coarse: Optional[CoarseLevel0] = None
-) -> Optional[ProgressiveResult]:
+def progressive_topk(vectors: np.ndarray, query, k: int) -> Optional[ProgressiveResult]:
     """Exact top-``k`` of ``query`` over ``vectors`` by filter-and-refine.
 
     A batch of one through :func:`progressive_topk_batch`.  Returns
@@ -821,14 +566,8 @@ def progressive_topk(
     fall back to their classic full scan.  When it does apply, the
     result is byte-identical to
     ``exact_top_k(query.distances(vectors), k)``.
-
-    Args:
-        coarse: optional precomputed :class:`CoarseLevel0` projections
-            (the store's PCA companion blocks) replacing the level-0
-            prefix transform; ignored when its shape does not cover
-            this scan.  Bounds change, rankings never do.
     """
-    return progressive_topk_batch(vectors, [query], [k], coarse=coarse)[0]
+    return progressive_topk_batch(vectors, [query], [k])[0]
 
 
 def _batched_prefix_level0(
@@ -888,26 +627,21 @@ def progressive_topk_batch(
     vectors: np.ndarray,
     queries: Sequence[object],
     ks: Sequence[int],
-    *,
-    coarse: Optional[CoarseLevel0] = None,
 ) -> List[Optional[ProgressiveResult]]:
     """Filter-and-refine several queries over one matrix, sharing passes.
 
     The one progressive scan (:func:`progressive_topk` is a batch of
-    one): all eligible queries share one level-0 pass — either a
-    single stacked prefix GEMM over the whole micro-batch (the
-    database is read from memory once instead of once per query) or,
-    when ``coarse`` covers the scan, one small product against the
-    store's precomputed PCA projections.  Seeding, escalation and
-    refinement then run per query through each query's own compiled
-    kernels, so every returned page is byte-identical to that query's
-    full-scan counterpart, whatever its batch mates.
+    one): all eligible queries share one level-0 pass, a single
+    stacked prefix GEMM over the whole micro-batch (the database is
+    read from memory once instead of once per query).  Seeding,
+    escalation and refinement then run per query through each query's
+    own compiled kernels, so every returned page is byte-identical to
+    that query's full-scan counterpart, whatever its batch mates.
 
     Args:
         queries: the micro-batch (need not share cluster counts or
             schemes; each is gated independently).
         ks: per-query page sizes.
-        coarse: optional :class:`CoarseLevel0` covering ``vectors``.
 
     Returns:
         One :class:`ProgressiveResult` per query, or ``None`` in the
@@ -922,25 +656,10 @@ def progressive_topk_batch(
             prepared.append((index, prep[0], prep[1]))
     if not prepared:
         return results
-    n = vectors.shape[0]
     plans = [plan for _, _, plan in prepared]
     contexts = [plan.scan_context(vectors) for plan in plans]
-    use_coarse = coarse is not None and coarse.matches(n, vectors.shape[1])
-    if use_coarse:
-        assert coarse is not None
-        bound_blocks = coarse.lower_bounds(plans)
-        accumulators: List[Optional[np.ndarray]] = [None] * len(prepared)
-    else:
-        bound_blocks = _batched_prefix_level0(vectors, plans, contexts)
-        accumulators = list(bound_blocks)
+    level0 = _batched_prefix_level0(vectors, plans, contexts)
     for position, (index, combine, plan) in enumerate(prepared):
-        schedule = plan.schedule
-        ranges = (
-            [(0, schedule[0])] + _mid_ranges(schedule)
-            if use_coarse
-            else _mid_ranges(schedule)
-        )
-        lower = np.asarray(combine(bound_blocks[position]))
         results[index] = _scan_from_level0(
             vectors,
             queries[index],
@@ -948,49 +667,9 @@ def progressive_topk_batch(
             plan,
             contexts[position],
             ks[index],
-            lower,
-            accumulators[position],
-            ranges,
-            "coarse" if use_coarse else "prefix",
+            level0[position],
         )
     return results
-
-
-class ProgressiveScan:
-    """Standalone filter-and-refine scanner over one vector matrix.
-
-    The in-core counterpart of :class:`~repro.index.linear.LinearScan`
-    (which routes through the same machinery): exact top-k with
-    filter/refine statistics, falling back to a classic full scan when
-    the progressive path does not apply.
-    """
-
-    def __init__(self, vectors: np.ndarray) -> None:
-        vectors = np.ascontiguousarray(np.atleast_2d(vectors), dtype=float)
-        if vectors.shape[0] == 0:
-            raise ValueError("cannot scan an empty database")
-        self.vectors = vectors
-
-    @property
-    def size(self) -> int:
-        """Number of scanned vectors."""
-        return self.vectors.shape[0]
-
-    def knn(self, query, k: int) -> ProgressiveResult:
-        """Exact ``k`` nearest neighbours plus filter/refine stats."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        k = min(k, self.size)
-        result = progressive_topk(self.vectors, query, k)
-        if result is not None:
-            return result
-        distances = np.asarray(query.distances(self.vectors))
-        top = exact_top_k(distances, k)
-        return ProgressiveResult(
-            indices=top,
-            distances=distances[top],
-            stats=_full_scan_stats(self.size),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -59,14 +59,8 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.distance import DisjunctiveQuery
-from ..core.kernels import ensure_compiled, kernels_enabled
-from ..core.progressive import (
-    ProgressivePlan,
-    exact_top_k,
-    plan_for,
-    progressive_enabled,
-    prune_threshold,
-)
+from ..core.kernels import ensure_compiled
+from ..core.progressive import exact_top_k, prune_threshold
 from ..faults import fault_point, register_site
 from ..obs import add_event
 from .linear import KnnResult, SearchCost, page_capacity_for
@@ -225,43 +219,21 @@ class HybridTree(_FlatTree):
         half = projections.shape[0] // 2
         return order[:half], order[half:], ()
 
-    @staticmethod
-    def _progressive_plan(query: DisjunctiveQuery) -> Optional[ProgressivePlan]:
-        """The query's prefix plan when progressive pruning applies.
-
-        ``None`` routes the search through the classic bounds/full-leaf
-        path — the plan only ever *tightens* node bounds and *filters*
-        leaf candidates on valid lower bounds, so both paths return
-        identical results.
-        """
-        if not (progressive_enabled() and kernels_enabled()):
-            return None
-        if getattr(query, "combine_per_cluster", None) is None:
-            return None
-        return plan_for(ensure_compiled(query))
-
-    def node_bounds(
-        self, query: DisjunctiveQuery, plan: Optional[ProgressivePlan] = None
-    ) -> np.ndarray:
+    def node_bounds(self, query: DisjunctiveQuery) -> np.ndarray:
         """Every node's aggregate distance lower bound, ``(n_nodes,)``.
 
-        With a progressive ``plan`` the per-cluster bounds are its
-        interval-arithmetic prefix bounds (never looser than the classic
-        ones); otherwise diagonal inverses get the exact per-axis bound
-        and full matrices the smallest-eigenvalue bound, eigenvalues
-        coming from the compiled kernel layer once per cluster state.
+        Diagonal inverses get the exact per-axis bound and full matrices
+        the smallest-eigenvalue bound, eigenvalues coming from the
+        compiled kernel layer once per cluster state.
         """
-        if plan is not None:
-            per_point = plan.box_lower_bounds(self.low, self.high)
-        else:
-            infos = ensure_compiled(query).bound_infos()
-            per_point = np.empty((len(infos), self.n_nodes))
-            for position, (center, diagonal, lambda_min) in enumerate(infos):
-                delta = np.maximum(np.maximum(self.low - center, center - self.high), 0.0)
-                if diagonal is not None:
-                    per_point[position] = np.sum(diagonal * delta**2, axis=1)
-                else:
-                    per_point[position] = lambda_min * np.sum(delta**2, axis=1)
+        infos = ensure_compiled(query).bound_infos()
+        per_point = np.empty((len(infos), self.n_nodes))
+        for position, (center, diagonal, lambda_min) in enumerate(infos):
+            delta = np.maximum(np.maximum(self.low - center, center - self.high), 0.0)
+            if diagonal is not None:
+                per_point[position] = np.sum(diagonal * delta**2, axis=1)
+            else:
+                per_point[position] = lambda_min * np.sum(delta**2, axis=1)
         return query.lower_bound_from_center_distance(per_point)
 
     def knn(
@@ -286,23 +258,27 @@ class HybridTree(_FlatTree):
             raise ValueError(f"k must be at least 1, got {k}")
         self._check_dimension(query)
         k = min(k, self.size)
-        plan = self._progressive_plan(query)
-        bounds = self.node_bounds(query, plan).tolist()
+        bounds = self.node_bounds(query).tolist()
         left, right, start, stop = self._links
 
         counter = itertools.count()
         frontier: List[Tuple[float, int, int]] = [(bounds[0], next(counter), 0)]
-        # Max-heap of current best k, keyed by negative distance.
+        # The best k so far under the (distance, id) order every exact
+        # path shares, as a heap of (-distance, -id): the worst on top.
         best: List[Tuple[float, int]] = []
+        # A node is opened while its bound does not exceed the slacked
+        # k-th distance: a node bounded *at* the k-th distance can still
+        # hold a tied row with a smaller id, and the bound arithmetic can
+        # overshoot a distance by a few ulps.
+        cut = float("inf")
         node_accesses = 0
         io_accesses = 0
         cached_accesses = 0
         distance_evaluations = 0
-        candidates_pruned = 0
 
         while frontier:
             bound, _, node = heapq.heappop(frontier)
-            if len(best) == k and bound >= -best[0][0]:
+            if bound > cut:
                 break
             fault_point(_SITE_TREE_NODE, key=str(node))
             node_accesses += 1
@@ -315,52 +291,40 @@ class HybridTree(_FlatTree):
             if left[node] >= 0:
                 for child in (left[node], right[node]):
                     child_bound = bounds[child]
-                    if len(best) < k or child_bound < -best[0][0]:
+                    if child_bound <= cut:
                         heapq.heappush(frontier, (child_bound, next(counter), child))
                 continue
             candidates = self.rows[start[node] : stop[node]]
-            if plan is not None and len(best) == k and candidates.shape[0] >= 8:
-                # Leaf filter: lower-bound the bucket on the first prefix
-                # level; only survivors pay an exact distance.  A pruned
-                # candidate's distance exceeds the current k-th best, so
-                # it could never enter the heap (strict < below).
-                cut = prune_threshold(-best[0][0])
-                leaf_bounds = query.combine_per_cluster(
-                    plan.prefix_distances(self.vectors[candidates], 0, plan.schedule[0])
-                )
-                keep = leaf_bounds <= cut
-                candidates_pruned += int(candidates.shape[0] - np.count_nonzero(keep))
-                candidates = candidates[keep]
-                if candidates.shape[0] == 0:
-                    continue
-            distances = query.distances(self.vectors[candidates])
+            distances = np.asarray(query.distances(self.vectors[candidates]))
             distance_evaluations += candidates.shape[0]
-            for distance, index in zip(distances, candidates):
+            for distance, index in zip(distances.tolist(), candidates.tolist()):
+                entry = (-distance, -index)
                 if len(best) < k:
-                    heapq.heappush(best, (-float(distance), int(index)))
-                elif distance < -best[0][0]:
-                    heapq.heapreplace(best, (-float(distance), int(index)))
+                    heapq.heappush(best, entry)
+                elif entry > best[0]:
+                    heapq.heapreplace(best, entry)
+                else:
+                    continue
+                if len(best) == k:
+                    cut = prune_threshold(-best[0][0])
 
-        ordered = sorted(best, key=lambda item: -item[0])
-        cost = SearchCost(
-            node_accesses=node_accesses,
-            io_accesses=io_accesses,
-            cached_accesses=cached_accesses,
-            distance_evaluations=distance_evaluations,
-            candidates_pruned=candidates_pruned,
-        )
+        ordered = sorted(best, reverse=True)
         add_event(
             "index_knn",
             node_accesses=node_accesses,
             io_accesses=io_accesses,
             cached_accesses=cached_accesses,
             refined=distance_evaluations,
-            pruned=candidates_pruned,
         )
         return KnnResult(
-            indices=np.array([index for _, index in ordered], dtype=int),
+            indices=np.array([-negative for _, negative in ordered], dtype=int),
             distances=np.array([-negative for negative, _ in ordered]),
-            cost=cost,
+            cost=SearchCost(
+                node_accesses=node_accesses,
+                io_accesses=io_accesses,
+                cached_accesses=cached_accesses,
+                distance_evaluations=distance_evaluations,
+            ),
         )
 
 

@@ -6,7 +6,6 @@ from .workers import (
     encode_query,
     scan_shard_topk,
     scan_shard_topk_batch,
-    shard_coarse_level0,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "decode_query",
     "scan_shard_topk",
     "scan_shard_topk_batch",
-    "shard_coarse_level0",
 ]

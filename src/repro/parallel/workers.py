@@ -52,13 +52,9 @@ from ..core.kernels import (
     ensure_compiled,
     kernels_enabled,
 )
-from ..core.progressive import (
-    CoarseLevel0,
-    exact_top_k,
-    progressive_topk_batch,
-)
+from ..core.progressive import exact_top_k, progressive_topk_batch
 from ..datasets.matrix import assert_scan_ready
-from ..store import FeatureStore, StoreBlockCorrupt
+from ..store import FeatureStore
 
 __all__ = [
     "ShardWorkerPool",
@@ -66,30 +62,17 @@ __all__ = [
     "decode_query",
     "scan_shard_topk",
     "scan_shard_topk_batch",
-    "shard_coarse_level0",
 ]
 
 
-def scan_shard_topk(
-    query,
-    shard: np.ndarray,
-    offset: int,
-    k: int,
-    *,
-    coarse: Optional[CoarseLevel0] = None,
-):
+def scan_shard_topk(query, shard: np.ndarray, offset: int, k: int):
     """Exact per-shard top-``k``: ``(global ids, distances, pruned, refined)``.
 
     One query scanned as a batch of one by :func:`scan_shard_topk_batch`
     — the one scan kernel every backend runs — for single-query callers
     (ground truth, determinism checks).
-
-    Args:
-        coarse: optional precomputed level-0 projections for this shard
-            (the store's PCA companions); bounds change, rankings never
-            do.
     """
-    return scan_shard_topk_batch([query], shard, offset, [k], coarse=coarse)[0]
+    return scan_shard_topk_batch([query], shard, offset, [k])[0]
 
 
 def _full_scan_distances(queries, shard: np.ndarray) -> List[np.ndarray]:
@@ -132,8 +115,6 @@ def scan_shard_topk_batch(
     shard: np.ndarray,
     offset: int,
     ks: Sequence[int],
-    *,
-    coarse: Optional[CoarseLevel0] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray, int, int]]:
     """Per-shard top-``k`` for a whole micro-batch in one database pass.
 
@@ -151,7 +132,7 @@ def scan_shard_topk_batch(
     query.
     """
     ks = [min(int(k), shard.shape[0]) for k in ks]
-    batched = progressive_topk_batch(shard, queries, ks, coarse=coarse)
+    batched = progressive_topk_batch(shard, queries, ks)
     rejected = [
         query
         for query, progressive in zip(queries, batched)
@@ -174,27 +155,6 @@ def scan_shard_topk_batch(
         top = exact_top_k(distances, k)
         results.append((top + offset, distances[top], 0, shard.shape[0]))
     return results
-
-
-def shard_coarse_level0(
-    store: FeatureStore, shard_index: int
-) -> Optional[CoarseLevel0]:
-    """The store's PCA companion of one shard as a level-0 bound source.
-
-    Returns ``None`` when the store was built without coarse blocks or
-    when any companion block fails its CRC — the scan then falls back
-    to on-the-fly prefix transforms (lossless, just slower).  Callers
-    should memoize the result: the constructor converts the float32
-    companion to a float64 working copy once.
-    """
-    if not store.coarse_dims:
-        return None
-    try:
-        projected = store.coarse(shard_index)
-        mean, components = store.coarse_projection()
-    except StoreBlockCorrupt:
-        return None
-    return CoarseLevel0(projected, mean, components)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +238,6 @@ def decode_query(payload: Dict[str, Any]):
 #: initializer (and lazily on first use, should a task outlive it).
 _WORKER_STORES: Dict[str, FeatureStore] = {}
 
-#: Per-process coarse-companion working copies, keyed by
-#: ``(store path, shard index)`` — built once per worker, reused by
-#: every scan of that shard.  ``None`` marks a store without usable
-#: companions (absent or CRC-failed) so the fallback is not re-probed.
-_WORKER_COARSE: Dict[Tuple[str, int], Optional[CoarseLevel0]] = {}
-
 
 def _worker_store(store_path: str) -> FeatureStore:
     store = _WORKER_STORES.get(store_path)
@@ -291,15 +245,6 @@ def _worker_store(store_path: str) -> FeatureStore:
         store = FeatureStore.open(store_path)
         _WORKER_STORES[store_path] = store
     return store
-
-
-def _worker_coarse(store_path: str, shard_index: int) -> Optional[CoarseLevel0]:
-    key = (store_path, shard_index)
-    if key not in _WORKER_COARSE:
-        _WORKER_COARSE[key] = shard_coarse_level0(
-            _worker_store(store_path), shard_index
-        )
-    return _WORKER_COARSE[key]
 
 
 def _pool_initializer(store_path: str) -> None:
@@ -393,8 +338,7 @@ def _scan_shard_batch_task(
             store.shard(shard_index), name=f"shard {shard_index}"
         )
         offset = store.row_offsets[shard_index]
-        coarse = _worker_coarse(store_path, shard_index)
-        parts = scan_shard_topk_batch(queries, shard, offset, ks, coarse=coarse)
+        parts = scan_shard_topk_batch(queries, shard, offset, ks)
     results = [
         (np.asarray(ids), np.asarray(distances), int(pruned), int(refined))
         for ids, distances, pruned, refined in parts

@@ -45,7 +45,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-import threading
 import time
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -55,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.kernels import CompiledQuery, default_kernel_cache, ensure_compiled
-from ..core.progressive import CoarseLevel0, exact_top_k
+from ..core.progressive import exact_top_k
 from ..datasets.matrix import assert_scan_ready
 from ..faults import fault_point, register_site
 from ..index.linear import page_capacity_for
@@ -73,7 +72,6 @@ from ..parallel.workers import (
     ShardWorkerPool,
     encode_query,
     scan_shard_topk_batch,
-    shard_coarse_level0,
 )
 from ..retrieval.database import FeatureDatabase
 from ..retrieval.methods import FeedbackMethod, QclusterMethod, QueryLike
@@ -316,10 +314,6 @@ class RetrievalService:
         # Per-session tenant labels (fair queueing on the batching
         # executor); sessions created without a tenant ride "default".
         self._session_tenants: Dict[str, str] = {}
-        # Per-shard CoarseLevel0 working copies (store-backed scans on
-        # the threads/inline path; worker processes keep their own).
-        self._coarse_lock = threading.Lock()
-        self._coarse_cache: Dict[int, Optional[CoarseLevel0]] = {}
         self._batching: Optional[BatchingExecutor] = None
         if batching:
             config = (
@@ -820,25 +814,6 @@ class RetrievalService:
         assert_scan_ready(shard, name=f"shard {index}")
         return shard
 
-    def _shard_coarse(self, index: int) -> Optional[CoarseLevel0]:
-        """Shard ``index``'s PCA-companion level-0 source, memoized.
-
-        ``None`` for in-memory databases, stores built without coarse
-        blocks, or companions that failed their CRC — the progressive
-        scan then computes its own prefix transform (lossless fallback,
-        byte-identical pages either way).
-        """
-        if self._feature_store is None:
-            return None
-        with self._coarse_lock:
-            if index in self._coarse_cache:
-                return self._coarse_cache[index]
-        # Built outside the lock: construction reads (and CRC-verifies)
-        # store blocks, and building twice under a race is idempotent.
-        coarse = shard_coarse_level0(self._feature_store, index)
-        with self._coarse_lock:
-            return self._coarse_cache.setdefault(index, coarse)
-
     def _pool_trace(self) -> Optional[Dict[str, object]]:
         """The trace context to ship with worker-pool tasks, if any.
 
@@ -1032,7 +1007,6 @@ class RetrievalService:
                     self._shard_array(index),
                     self._shard_offsets[index],
                     ks,
-                    coarse=self._shard_coarse(index),
                 )
 
         shards = range(self._n_shards)

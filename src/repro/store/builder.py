@@ -5,8 +5,8 @@ source (raw array, ``FeatureDatabase``, ``GaussianSample``), the
 vectors pass through :func:`~repro.datasets.matrix.as_feature_matrix`
 exactly once and land on disk as float32 C-contiguous shard blocks.
 Optional PCA-prefix coarse companions (``coarse_dims`` leading
-principal components per shard, plus the projection itself) support
-coarse-before-fine refinement without a second pass over the file.
+principal components per shard, plus the projection itself) are
+written and CRC-protected like every block; no scan reads them.
 
 Writes are atomic: the store is assembled in a ``.tmp`` sibling and
 renamed into place, so a crashed build never leaves a half-written

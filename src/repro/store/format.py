@@ -28,7 +28,7 @@ Block names are paths in a tiny namespace:
   shards, in row order (shard ``i`` holds global rows
   ``[row_offsets[i], row_offsets[i+1])``);
 * ``coarse/0000`` … — optional float32 ``(rows, d)`` PCA-prefix
-  companions of each shard (coarse-before-fine refinement);
+  companions of each shard (written and verified; no scan reads them);
 * ``coarse/mean``, ``coarse/components`` — the PCA projection that
   produced them (so a reader can project queries into the same basis);
 * ``labels`` — optional int64 category labels.
@@ -73,6 +73,9 @@ FORMAT_VERSION = 1
 #: Every data block starts on a multiple of this many bytes, so mmap'd
 #: float32 views are safely (over-)aligned for vectorized kernels.
 ALIGNMENT = 64
+
+#: Element type of every ``shard/NNNN`` block.
+SHARD_DTYPE = "<f4"
 
 _PREAMBLE = struct.Struct("<8sII")  # magic, version, header byte length
 
@@ -129,6 +132,26 @@ class BlockEntry:
             "crc32": self.crc32,
         }
 
+    def validate(self) -> None:
+        """The entry must describe a readable, aligned numeric array."""
+        try:
+            dtype = np.dtype(self.dtype)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise StoreFormatError(
+                f"block {self.name} dtype {self.dtype!r} is not a NumPy dtype"
+            ) from error
+        if dtype.kind not in "biuf":
+            raise StoreFormatError(f"block {self.name} dtype {self.dtype!r} is not numeric")
+        if self.offset < 0 or self.nbytes < 0 or min(self.shape, default=0) < 0:
+            raise StoreFormatError(f"block {self.name} has a negative offset, size or extent")
+        if self.offset % ALIGNMENT:
+            raise StoreFormatError(
+                f"block {self.name} offset {self.offset} is not {ALIGNMENT}-byte aligned"
+            )
+        size = int(np.prod(self.shape, dtype=object)) * dtype.itemsize
+        if size != self.nbytes:
+            raise StoreFormatError(f"block {self.name} nbytes {self.nbytes} != shape size {size}")
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BlockEntry":
         try:
@@ -140,7 +163,7 @@ class BlockEntry:
                 nbytes=int(data["nbytes"]),
                 crc32=int(data["crc32"]),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise StoreFormatError(f"malformed block entry: {data!r}") from error
 
 
@@ -220,7 +243,7 @@ class StoreHeader:
                 ),
                 content_hash=str(payload["content_hash"]),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             if isinstance(error, StoreFormatError):
                 raise
             raise StoreFormatError("store header is missing required fields") from error
@@ -241,24 +264,22 @@ class StoreHeader:
             raise StoreFormatError(
                 f"coarse_dims {self.coarse_dims} out of range for p={self.dimension}"
             )
+        for entry in self.blocks:
+            entry.validate()
         for i in range(self.n_shards):
             rows = self.row_offsets[i + 1] - self.row_offsets[i]
-            entry = self.block(f"shard/{i:04d}")
+            name = f"shard/{i:04d}"
+            if not self.has_block(name):
+                raise StoreFormatError(f"block table has no entry for {name}")
+            entry = self.block(name)
             expected = (rows, self.dimension)
             if entry.shape != expected:
                 raise StoreFormatError(
                     f"block {entry.name} shape {entry.shape} != expected {expected}"
                 )
-            size = int(np.prod(entry.shape)) * np.dtype(entry.dtype).itemsize
-            if size != entry.nbytes:
+            if entry.dtype != SHARD_DTYPE:
                 raise StoreFormatError(
-                    f"block {entry.name} nbytes {entry.nbytes} != shape size {size}"
-                )
-        for entry in self.blocks:
-            if entry.offset % ALIGNMENT:
-                raise StoreFormatError(
-                    f"block {entry.name} offset {entry.offset} is not "
-                    f"{ALIGNMENT}-byte aligned"
+                    f"block {entry.name} dtype {entry.dtype!r} != {SHARD_DTYPE!r}"
                 )
 
 

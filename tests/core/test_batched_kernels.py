@@ -138,12 +138,11 @@ class TestBatchedShardScan:
             assert ids.tobytes() == solo_ids.tobytes()
             assert distances.tobytes() == solo_distances.tobytes()
 
-    def test_progressive_batch_matches_solo_with_and_without_coarse(self):
+    def test_progressive_batch_matches_solo(self):
         """At progressive-eligible dimension the batched level-0 pass
-        (stacked prefix GEMM or PCA coarse bounds) must leave every
-        page byte-identical to its solo scan."""
-        from repro.core.pca import PCA
-        from repro.core.progressive import CoarseLevel0, progressive_topk_batch
+        (one stacked prefix GEMM) must leave every page byte-identical
+        to its solo scan."""
+        from repro.core.progressive import progressive_topk_batch
 
         rng = np.random.default_rng(21)
         p = 20
@@ -151,19 +150,12 @@ class TestBatchedShardScan:
         shard = 2.0 * rng.standard_normal((2600, p)) * scales
         queries = [random_query(rng, "inverse", g=g, p=p) for g in (1, 3, 2)]
         ks = [8, 12, 8]
-        pca = PCA(n_components=6).fit(shard)
-        coarse = CoarseLevel0(
-            (shard - pca.mean_) @ pca.components_.T, pca.mean_, pca.components_
-        )
-        for level0 in (None, coarse):
-            batched = progressive_topk_batch(shard, queries, ks, coarse=level0)
-            assert all(result is not None for result in batched)
-            for query, k, result in zip(queries, ks, batched):
-                solo_ids, solo_distances, _, _ = scan_shard_topk(
-                    query, shard, 0, k, coarse=level0
-                )
-                assert result.indices.tobytes() == solo_ids.tobytes()
-                assert result.distances.tobytes() == solo_distances.tobytes()
+        batched = progressive_topk_batch(shard, queries, ks)
+        assert all(result is not None for result in batched)
+        for query, k, result in zip(queries, ks, batched):
+            solo_ids, solo_distances, _, _ = scan_shard_topk(query, shard, 0, k)
+            assert result.indices.tobytes() == solo_ids.tobytes()
+            assert result.distances.tobytes() == solo_distances.tobytes()
 
     def test_full_scan_fallback_matches_exact_top_k(self):
         rng = np.random.default_rng(20)

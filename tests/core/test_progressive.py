@@ -2,12 +2,14 @@
 
 The progressive layer (`repro.core.progressive`) may only ever change
 *cost*: for every eligible query the filtered/refined top-k — through
-`progressive_topk`, `LinearScan`, `HybridTree`, the multipoint
-searchers and the service's sharded scan — must be byte-identical to
-the reference full scan under the shared ``(distance, index)`` order.
-These tests pin that contract across covariance schemes, mixed
-queries, PCA-reduced bases and deliberate distance ties, and check the
-lower bounds themselves are sound.
+`progressive_topk`, `LinearScan` and the service's sharded scan — must
+be byte-identical to the reference full scan under the shared
+``(distance, index)`` order, and the tree paths (`HybridTree`, the
+multipoint searchers), which bound nodes with their own box bounds,
+must not move with the layer's switch.  These tests pin that contract
+across covariance schemes, mixed queries, PCA-reduced bases and
+deliberate distance ties, and check the lower bounds themselves are
+sound.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.core.covariance import get_scheme
 from repro.core.distance import DisjunctiveQuery, QueryPoint
 from repro.core.kernels import compile_query, use_kernels
 from repro.core.progressive import (
-    ProgressiveScan,
     default_schedule,
     exact_top_k,
     plan_for,
@@ -179,11 +180,11 @@ class TestByteIdenticalTopK:
         query = feedback_query(database, rng, ["diagonal"] * 4)
         with use_progressive(True, min_rows=256):
             assert progressive_topk(database, query, K) is None
-            result = ProgressiveScan(database).knn(query, K)
+            result = LinearScan(database).knn(query, K)
         ref_ids, ref_distances = reference_topk(database, query, K)
         np.testing.assert_array_equal(result.indices, ref_ids)
         np.testing.assert_array_equal(result.distances, ref_distances)
-        assert result.stats.refine_fraction == 1.0
+        assert result.cost.refine_fraction == 1.0
 
 
 class TestConsumerPaths:
@@ -207,12 +208,13 @@ class TestConsumerPaths:
         assert slow.cost.refine_fraction == 1.0
 
     def test_hybridtree_knn_identical_ordering(self, database):
-        # The leaf filter shrinks the candidate array handed to the
-        # kernels, so BLAS may choose a different GEMM blocking; the
-        # returned *ordering* is identical, distances to within 1 ulp.
+        # The tree bounds nodes with its own box bounds and scores whole
+        # leaves, so the switch leaves its pages and costs untouched.
+        # Leaves are scored as small row subsets, whose BLAS blocking
+        # can move a distance by an ulp against the full scan: the
+        # ordering matches the scan's, distances to within 1e-12.
         rng = np.random.default_rng(31)
         tree = HybridTree(database)
-        pruned_total = 0
         for schemes in (["inverse"] * 3, ["inverse", "diagonal"]):
             query = feedback_query(database, rng, schemes)
             with use_progressive(True, min_rows=256):
@@ -220,12 +222,12 @@ class TestConsumerPaths:
             with use_progressive(False):
                 slow = tree.knn(query, K)
             np.testing.assert_array_equal(fast.indices, slow.indices)
-            np.testing.assert_allclose(
-                fast.distances, slow.distances, rtol=1e-12
-            )
-            assert slow.cost.candidates_pruned == 0
-            pruned_total += fast.cost.candidates_pruned
-        assert pruned_total >= 0  # leaf filtering may or may not trigger
+            np.testing.assert_array_equal(fast.distances, slow.distances)
+            assert fast.cost == slow.cost
+            assert fast.cost.candidates_pruned == 0
+            ref_ids, ref_distances = reference_topk(database, query, K)
+            np.testing.assert_array_equal(fast.indices, ref_ids)
+            np.testing.assert_allclose(fast.distances, ref_distances, rtol=1e-12)
 
     def test_multipoint_searchers_byte_identical(self, database):
         from repro.index.multipoint import CentroidSearcher, MultipointSearcher
@@ -314,28 +316,22 @@ class TestBoundSoundness:
         np.testing.assert_allclose(bound, exact, rtol=1e-6)
 
     def test_box_bounds_never_exceed_contained_point_distances(self, database):
+        """The tree's node boxes (per-axis bound for diagonal clusters,
+        λ_min bound for whitened ones) lower-bound every row inside."""
         rng = np.random.default_rng(59)
         query = feedback_query(database, rng, ["inverse", "diagonal"])
-        plan = plan_for(compile_query(query))
-        assert plan is not None
-        per_cluster_exact = query.per_cluster_distances(database[:256])
-        boxes = [
-            database[rng.choice(256, size=8, replace=False)] for _ in range(20)
-        ]
-        low = np.stack([rows.min(axis=0) for rows in boxes])
-        high = np.stack([rows.max(axis=0) for rows in boxes])
-        # One batched call over all 20 boxes: (g, m) bounds.
-        bounds = plan.box_lower_bounds(low, high)
-        assert bounds.shape == (plan.size, len(boxes))
-        for box in range(len(boxes)):
-            inside = (database[:256] >= low[box]).all(axis=1) & (
-                database[:256] <= high[box]
-            ).all(axis=1)
-            assert inside.any()  # the 8 sampled rows at least
-            minima = per_cluster_exact[:, inside].min(axis=1)
-            assert np.all(
-                bounds[:, box] <= prune_threshold(1.0) * np.maximum(minima, 1e-9)
-            )
+        rows = database[:256]
+        tree = HybridTree(rows, leaf_capacity=8)
+        # One batched call over every node's box: (n_nodes,) bounds.
+        bounds = tree.node_bounds(query)
+        assert bounds.shape == (tree.n_nodes,)
+        exact = query.distances(rows)
+        for node in range(tree.n_nodes):
+            low, high = tree.low[node], tree.high[node]
+            inside = (rows >= low).all(axis=1) & (rows <= high).all(axis=1)
+            assert inside.any()  # the node's own rows at least
+            nearest = exact[inside].min()
+            assert bounds[node] <= prune_threshold(1.0) * max(nearest, 1e-9)
 
 
 class TestEligibilityAndHatch:

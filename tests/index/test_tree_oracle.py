@@ -2,9 +2,9 @@
 
 :class:`~repro.index.tree.HybridTree` must return the reference tree's
 pages, cost counters and node caches bit for bit — over diagonal,
-inverse (progressive-plan) and mixed Qcluster-style queries and the
-baselines' power-mean queries, at leaf capacities 1–64 with duplicate
-rows.  :class:`~repro.index.tree.SpillTree` must reproduce the
+inverse and mixed Qcluster-style queries and the baselines' power-mean
+queries, at leaf capacities 1–64 with duplicate rows — and its pages
+must equal the exact scan's under the shared ``(distance, id)`` order.  :class:`~repro.index.tree.SpillTree` must reproduce the
 reference leaf membership, split records, defeatist results and
 calibrated recall under both split rules.  Every node's vectorised
 bound must also stay a sound lower bound.
@@ -19,12 +19,11 @@ from hypothesis import strategies as hst
 
 from repro.baselines.base import PowerMeanQuery
 from repro.core.distance import DisjunctiveQuery, QueryPoint
+from repro.core.progressive import exact_top_k
 from repro.index.tree import HybridTree, SpillTree, SpillTreeConfig
 
 from .tree_reference import ReferenceHybridTree, ReferenceSpillTree
 
-#: Dimensions at and above 16 make inverse queries eligible for the
-#: progressive plan (interval-arithmetic node bounds, leaf filter).
 DIMENSIONS = (2, 3, 8, 16, 20)
 
 
@@ -157,8 +156,8 @@ class TestHybridTreeOracle:
 
     @pytest.mark.parametrize("kind", ["diagonal", "inverse", "mixed"])
     def test_paper_sized_sessions_match(self, kind):
-        """A 4 KB-page tree over 32-d rows: deep enough that the
-        progressive plan, the leaf filter and the cache all engage."""
+        """A 4 KB-page tree over 32-d rows: deep enough that pruning
+        and the node cache both engage."""
         rng = np.random.default_rng(7)
         vectors = make_database(rng, 6000, 32, 0.05, False)
         flat = HybridTree(vectors)
@@ -167,6 +166,78 @@ class TestHybridTreeOracle:
         for g in (1, 3, 6):
             queries = [make_query(rng, vectors, kind, g) for _ in range(3)]
             assert_same_session(flat, reference, queries, 20)
+
+
+def make_dyadic_case(rng, n, p, duplicate_share, kind, g, on_rows):
+    """Rows and a query whose distances are exact in float64.
+
+    Integer rows, integer or half-integer centres, power-of-two weights
+    and inverses ``L L'`` with a dyadic Cholesky factor ``L`` keep every
+    product and sum exact, and ``g <= 2`` keeps the harmonic combination
+    independent of summation order.  A distance then has the same bits
+    whichever rows it is scored with: a tree leaf and a full scan agree
+    exactly, and exact ties are real ties.
+    """
+    vectors = rng.integers(-4, 5, size=(n, p)).astype(float)
+    copies = int(duplicate_share * n)
+    if copies:
+        vectors[rng.choice(n, copies)] = vectors[rng.choice(n, copies)]
+    centers = vectors[rng.integers(n, size=g)]
+    if not on_rows:
+        centers = centers + rng.choice([-0.5, 0.5], size=centers.shape)
+    points = []
+    for center in centers:
+        weight = float(2.0 ** rng.integers(0, 3))
+        if kind == "diagonal":
+            diagonal = 2.0 ** rng.integers(-1, 3, size=p)
+            points.append(QueryPoint(center, np.diag(diagonal), weight, diagonal))
+        else:
+            factor = np.tril(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(p, p)), -1)
+            factor += np.diag(2.0 ** rng.integers(0, 2, size=p))
+            points.append(QueryPoint(center, factor @ factor.T, weight))
+    return vectors, DisjunctiveQuery(points)
+
+
+@hst.composite
+def tie_cases(draw):
+    return dict(
+        seed=draw(hst.integers(0, 2**32 - 1)),
+        n=draw(hst.integers(1, 600)),
+        p=draw(hst.sampled_from(DIMENSIONS)),
+        leaf_capacity=draw(hst.integers(1, 64)),
+        duplicate_share=draw(hst.sampled_from([0.0, 0.2, 0.6])),
+        kind=draw(hst.sampled_from(["diagonal", "inverse"])),
+        g=draw(hst.integers(1, 2)),
+        k=draw(hst.integers(1, 40)),
+        on_rows=draw(hst.booleans()),
+    )
+
+
+class TestExactScanAgreement:
+    @seed(21)
+    @given(tie_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_pages_equal_the_exact_scan_under_ties(self, case):
+        """Quantised, duplicated rows tie exactly; the tree must select
+        and order them by ``(distance, id)`` like every other exact
+        path.  ``on_rows`` centres the query on database rows (a start
+        query), so whole leaves tie at distance zero."""
+        rng = np.random.default_rng(case["seed"])
+        vectors, query = make_dyadic_case(
+            rng,
+            case["n"],
+            case["p"],
+            case["duplicate_share"],
+            case["kind"],
+            case["g"],
+            case["on_rows"],
+        )
+        tree = HybridTree(vectors, leaf_capacity=case["leaf_capacity"])
+        got = tree.knn(query, case["k"])
+        distances = query.distances(vectors)
+        top = exact_top_k(distances, case["k"])
+        assert got.indices.tolist() == top.tolist()
+        assert got.distances.tobytes() == distances[top].tobytes()
 
 
 class TestSpillTreeOracle:
@@ -215,18 +286,14 @@ class TestBoundSoundness:
     @pytest.mark.parametrize("p", [3, 20])
     def test_node_bound_never_exceeds_its_rows(self, kind, p):
         """Every node's vectorised aggregate bound is at most the
-        smallest aggregate distance over the node's own rows — through
-        the classic per-axis/λ_min bounds (p = 3) and the batched
-        progressive-plan box bounds (inverse and mixed at p = 20)."""
+        smallest aggregate distance over the node's own rows, through
+        the per-axis (diagonal) and λ_min (full inverse) bounds."""
         rng = np.random.default_rng(p)
         vectors = make_database(rng, 800, p, 0.05, False)
         tree = HybridTree(vectors, leaf_capacity=8)
         for g in (1, 2, 4):
             query = make_query(rng, vectors, kind, g)
-            plan = tree._progressive_plan(query)
-            if p >= 16 and kind in ("inverse", "mixed"):
-                assert plan is not None
-            bounds = tree.node_bounds(query, plan)
+            bounds = tree.node_bounds(query)
             distances = query.distances(vectors)
             for node in range(tree.n_nodes):
                 rows = tree.rows[tree.start[node] : tree.stop[node]]

@@ -2,8 +2,8 @@
 the flat node table.
 
 :class:`ReferenceHybridTree` builds linked :class:`_Node` objects and
-bounds one node per call (a classic per-point bound, or the progressive
-plan's per-prefix bound for that single box); :class:`ReferenceSpillTree`
+bounds one node per call with the classic per-point bound and selects
+under the ``(distance, id)`` order; :class:`ReferenceSpillTree`
 builds linked :class:`_SpillNode` objects and descends them.  Node ids
 are pre-order, like the flat table's.  :class:`repro.index.tree.HybridTree`
 and :class:`repro.index.tree.SpillTree` must reproduce their results,
@@ -21,34 +21,11 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.kernels import ensure_compiled
-from repro.core.progressive import (
-    _RELATIVE_SLACK,
-    _DiagonalPrefix,
-    exact_top_k,
-    prune_threshold,
-)
+from repro.core.progressive import exact_top_k, prune_threshold
 from repro.index import tree as flat
 from repro.index.linear import KnnResult, SearchCost, page_capacity_for
 
-__all__ = ["ReferenceHybridTree", "ReferenceSpillTree", "reference_plan_box_bounds"]
-
-
-def reference_plan_box_bounds(plan, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The progressive plan's per-cluster bounds for one box, per prefix."""
-    bounds = []
-    for prefix in plan.prefixes:
-        delta = np.maximum(np.maximum(low - prefix.center, prefix.center - high), 0.0)
-        if isinstance(prefix, _DiagonalPrefix):
-            bounds.append(float(np.sum(prefix.weights * delta * delta)))
-            continue
-        mid = 0.5 * (low + high) - prefix.center
-        half = 0.5 * (high - low)
-        m = mid @ prefix.node_transform
-        r = half @ prefix.node_abs
-        interval = float(np.sum(np.maximum(np.abs(m) - r, 0.0) ** 2))
-        classic = prefix.lambda_min * float(np.sum(delta * delta))
-        bounds.append(max(interval * (1.0 - _RELATIVE_SLACK), classic))
-    return np.array(bounds)
+__all__ = ["ReferenceHybridTree", "ReferenceSpillTree"]
 
 
 @dataclass
@@ -108,31 +85,31 @@ class ReferenceHybridTree:
     def knn(self, query, k: int, node_cache: Optional[Set[int]] = None) -> KnnResult:
         k = min(k, self.vectors.shape[0])
         prepared = ensure_compiled(query).bound_infos()
-        plan = flat.HybridTree._progressive_plan(query)
 
         def aggregate_bound(node: _Node) -> float:
-            if plan is not None:
-                per_point = reference_plan_box_bounds(plan, node.low, node.high)
-            else:
-                per_point = np.empty(len(prepared))
-                for position, (center, diagonal, lambda_min) in enumerate(prepared):
-                    delta = np.maximum(
-                        np.maximum(node.low - center, center - node.high), 0.0
-                    )
-                    if diagonal is not None:
-                        per_point[position] = float(np.sum(diagonal * delta**2))
-                    else:
-                        per_point[position] = lambda_min * float(np.sum(delta**2))
+            per_point = np.empty(len(prepared))
+            for position, (center, diagonal, lambda_min) in enumerate(prepared):
+                delta = np.maximum(np.maximum(node.low - center, center - node.high), 0.0)
+                if diagonal is not None:
+                    per_point[position] = float(np.sum(diagonal * delta**2))
+                else:
+                    per_point[position] = lambda_min * float(np.sum(delta**2))
             return float(query.lower_bound_from_center_distance(per_point)[0])
+
+        def kth_cut() -> float:
+            # Open nodes bounded at or just above the k-th (distance, id).
+            if len(best) < k:
+                return float("inf")
+            return prune_threshold(max(best)[0])
 
         counter = itertools.count()
         frontier = [(aggregate_bound(self.root), next(counter), self.root)]
-        best: List[Tuple[float, int]] = []
+        best: List[Tuple[float, int]] = []  # (distance, id), unordered
         node_accesses = io_accesses = cached_accesses = 0
-        distance_evaluations = candidates_pruned = 0
+        distance_evaluations = 0
         while frontier:
             bound, _, node = heapq.heappop(frontier)
-            if len(best) == k and bound >= -best[0][0]:
+            if bound > kth_cut():
                 break
             node_accesses += 1
             if node_cache is not None and node.node_id in node_cache:
@@ -142,43 +119,26 @@ class ReferenceHybridTree:
                 if node_cache is not None:
                     node_cache.add(node.node_id)
             if node.is_leaf:
-                candidates = node.indices
-                if plan is not None and len(best) == k and candidates.shape[0] >= 8:
-                    cut = prune_threshold(-best[0][0])
-                    leaf_bounds = query.combine_per_cluster(
-                        plan.prefix_distances(
-                            self.vectors[candidates], 0, plan.schedule[0]
-                        )
-                    )
-                    keep = leaf_bounds <= cut
-                    candidates_pruned += int(
-                        candidates.shape[0] - np.count_nonzero(keep)
-                    )
-                    candidates = candidates[keep]
-                    if candidates.shape[0] == 0:
-                        continue
-                distances = query.distances(self.vectors[candidates])
-                distance_evaluations += candidates.shape[0]
-                for distance, index in zip(distances, candidates):
-                    if len(best) < k:
-                        heapq.heappush(best, (-float(distance), int(index)))
-                    elif distance < -best[0][0]:
-                        heapq.heapreplace(best, (-float(distance), int(index)))
+                distances = query.distances(self.vectors[node.indices])
+                distance_evaluations += node.indices.shape[0]
+                for distance, index in zip(distances, node.indices):
+                    best.append((float(distance), int(index)))
+                    if len(best) > k:
+                        best.remove(max(best))
             else:
                 for child in (node.left, node.right):
                     child_bound = aggregate_bound(child)
-                    if len(best) < k or child_bound < -best[0][0]:
+                    if child_bound <= kth_cut():
                         heapq.heappush(frontier, (child_bound, next(counter), child))
-        ordered = sorted(best, key=lambda item: -item[0])
+        ordered = sorted(best)
         return KnnResult(
             indices=np.array([index for _, index in ordered], dtype=int),
-            distances=np.array([-negative for negative, _ in ordered]),
+            distances=np.array([distance for distance, _ in ordered]),
             cost=SearchCost(
                 node_accesses=node_accesses,
                 io_accesses=io_accesses,
                 cached_accesses=cached_accesses,
                 distance_evaluations=distance_evaluations,
-                candidates_pruned=candidates_pruned,
             ),
         )
 

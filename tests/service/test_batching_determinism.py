@@ -4,8 +4,8 @@ The satellite contract of the batching subsystem — *how* queries are
 coalesced must never leak into *what* they return.  These tests draw
 randomly interleaved and randomly coalesced arrival orders over query
 mixes spanning both covariance schemes (diagonal and full-inverse
-Cholesky kernels), PCA-prefix coarse bases from a feature store, and
-tie-heavy data (duplicated rows, so the shared ``(distance, id)``
+Cholesky kernels), a feature store carrying PCA-prefix companion
+blocks (which no scan reads), and tie-heavy data (duplicated rows, so the shared ``(distance, id)``
 tie-break is load-bearing) and assert every page matches the query's
 solo serial scan byte-for-byte.
 """
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import QclusterConfig
-from repro.parallel import scan_shard_topk, shard_coarse_level0
+from repro.parallel import scan_shard_topk
 from repro.retrieval import FeatureDatabase, QclusterMethod, SimulatedUser
 from repro.service import BatchingConfig, RetrievalService
 from repro.store import FeatureStore, build_store
@@ -110,8 +110,10 @@ class TestRandomCoalescings:
     def test_store_coarse_pages_match_serial(
         self, tie_database, query_pool, seed, tmp_path_factory
     ):
-        """Same property against a feature store whose PCA-prefix
-        ``coarse`` companion blocks feed the batched level-0 filter."""
+        """Same property against a feature store carrying PCA-prefix
+        ``coarse`` companion blocks; the companions are inert, so the
+        store serves the pages and pruning counters of its own float32
+        rows held in memory."""
         store_path = build_store(
             tie_database,
             tmp_path_factory.mktemp("det") / "det.qcs",
@@ -119,23 +121,34 @@ class TestRandomCoalescings:
             coarse_dims=6,
         )
         store = FeatureStore.open(store_path)
-        coarse = shard_coarse_level0(store, 0)
         solo = [
-            scan_shard_topk(query, store.shard(0), 0, K, coarse=coarse)[:2]
-            for query in query_pool
+            scan_shard_topk(query, store.shard(0), 0, K)[:2] for query in query_pool
         ]
-        rng = np.random.default_rng(seed)
-        with RetrievalService(
-            store, k=K, use_index=False, cache_size=0
-        ) as service:
-            for chunk in random_chunks(rng, len(query_pool)):
-                batched = service.scan_batch(
-                    [query_pool[i] for i in chunk], [K] * len(chunk)
-                )
-                for position, (ids, distances, _reasons) in zip(chunk, batched):
-                    solo_ids, solo_distances = solo[position]
-                    assert ids.tobytes() == solo_ids.tobytes()
-                    assert distances.tobytes() == solo_distances.tobytes()
+        chunks = random_chunks(np.random.default_rng(seed), len(query_pool))
+
+        def serve(source):
+            pages = []
+            with RetrievalService(
+                source, k=K, use_index=False, n_shards=1, cache_size=0
+            ) as service:
+                for chunk in chunks:
+                    batched = service.scan_batch(
+                        [query_pool[i] for i in chunk], [K] * len(chunk)
+                    )
+                    for position, (ids, distances, _reasons) in zip(chunk, batched):
+                        solo_ids, solo_distances = solo[position]
+                        assert ids.tobytes() == solo_ids.tobytes()
+                        assert distances.tobytes() == solo_distances.tobytes()
+                        pages.append((ids.tobytes(), distances.tobytes()))
+                counters = service.metrics_snapshot()["counters"]
+            pruning = {
+                name: counters.get(name, 0)
+                for name in ("candidates_pruned", "candidates_refined")
+            }
+            return pages, pruning
+
+        in_memory = np.array(store.shard(0), dtype=np.float32)
+        assert serve(store) == serve(in_memory)
 
 
 class TestRandomInterleavings:
