@@ -241,7 +241,6 @@ def cmd_serve(args) -> int:
         try:
             batching = BatchingConfig(
                 max_batch=args.batch_size,
-                max_wait_s=args.batch_wait_ms / 1e3,
                 max_pending=args.max_pending,
                 shed_threshold=args.shed_threshold,
             )
@@ -884,9 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=128, help="result-cache pages")
     serve.add_argument(
         "--batch-size", type=int, default=32, help="micro-batch size ceiling"
-    )
-    serve.add_argument(
-        "--batch-wait-ms", type=float, default=2.0, help="batch collection window"
     )
     serve.add_argument(
         "--max-pending", type=int, default=256, help="backpressure queue bound"

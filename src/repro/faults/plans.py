@@ -24,7 +24,7 @@ Seeded scenarios, each aimed at a distinct recovery mechanism:
 * ``batch-abort`` — micro-batch executions abort or stall mid-flight;
   exercised paths: the batching executor's lossless per-request serial
   fallback (a failed batch must not fail any query in it) and
-  deadline-aware cutoffs under injected batch latency.  Replay with
+  requests queueing behind a stalled batch.  Replay with
   batching on (``chaos --plan batch-abort --batching``) to arm the
   ``batch.execute`` site.
 * ``ann-descend`` — spill-tree node reads fail mid-descent; exercised
@@ -125,8 +125,9 @@ def _batch_abort(seed: int) -> Tuple[FaultSpec, ...]:
             probability=0.4,
             message="batch executor aborted",
         ),
-        # Straggling batches: injected latency stretches the collection
-        # window without changing any data, so responses stay exact.
+        # Straggling batches: injected latency holds a leader slot, so
+        # later requests queue behind it, without changing any data:
+        # responses stay exact.
         FaultSpec(
             "batch.execute",
             "latency",

@@ -23,8 +23,8 @@ service down.
   :class:`~repro.system.ResultQuality` provenance on every page.
 * :mod:`~repro.service.batching` — :class:`BatchingExecutor`, coalescing
   compatible in-flight queries into micro-batches that share one
-  database pass, with per-tenant fair queueing, deadline-aware cutoffs
-  and honest load shedding.
+  database pass, led by the waiting request threads themselves, with
+  per-tenant fair queueing and honest load shedding.
 * :mod:`~repro.service.server` — :class:`RetrievalServer`, the asyncio
   HTTP front-end with admission control, plus the
   :func:`closed_loop_load` generator.

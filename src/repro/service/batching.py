@@ -25,16 +25,20 @@ slack-protected level-0 bounds.  Every page is therefore byte-identical
 to per-query serial execution under the shared ``(distance, id)``
 tie-break.
 
-**Flow control.**  Three mechanisms keep the executor well-behaved
-under heavy load, none of which drops a request:
+**Leader/follower dispatch.**  No dispatcher thread, no collection
+window: while a submitter's request is queued and one of ``leaders``
+slots is free, the submitter takes the slot and runs the *oldest*
+queued request's micro-batch on its own thread.  A lone request is
+scanned at once by the thread that asked for it; requests arriving
+while every slot is busy ride the next batch, so batches grow exactly
+when the scan is the bottleneck.
+
+**Flow control.**  Two mechanisms keep the executor well-behaved under
+heavy load, neither of which drops a request:
 
 * *admission/backpressure* — at most ``max_pending`` queued requests;
   further submitters block (which in the HTTP front-end translates to
   admission control at the socket);
-* *deadline-aware cutoffs* — a micro-batch dispatches when it is full,
-  when the oldest member has waited ``max_wait_s``, or when any
-  member's :class:`~repro.service.resilience.DeadlineBudget` is about
-  to spend its slack on queueing;
 * *load shedding* — past ``shed_threshold`` queued requests, new
   arrivals never enqueue: the ``shed_to`` handler (the engine wires
   its spill-tree ANN tier, so shedding requires one) serves them
@@ -75,11 +79,6 @@ _SITE_BATCH = register_site(
     "batch.execute", "one coalesced micro-batch scan on the batching executor"
 )
 
-#: Queue slack reserved for the scan itself: a request whose deadline
-#: budget has less than this remaining is dispatched immediately rather
-#: than waiting for more batch mates.
-_DEADLINE_MARGIN_S = 0.005
-
 #: Recent batch sizes feeding the stats percentiles.
 _SIZE_RESERVOIR = 1024
 
@@ -102,9 +101,7 @@ class BatchingConfig:
     """Knobs of the batching executor.
 
     Attributes:
-        max_batch: micro-batch size cap; a full batch dispatches
-            immediately.
-        max_wait_s: longest any request waits for batch mates.
+        max_batch: micro-batch size cap.
         max_pending: admission-control bound on queued requests;
             further submitters block until the queue drains.
         shed_threshold: queue depth at which new arrivals are served
@@ -115,15 +112,12 @@ class BatchingConfig:
     """
 
     max_batch: int = 32
-    max_wait_s: float = 0.002
     max_pending: int = 256
     shed_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be at least 1, got {self.max_batch}")
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be non-negative, got {self.max_wait_s}")
         if self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be at least 1, got {self.max_pending}"
@@ -156,7 +150,8 @@ class BatchRequest:
     tenant: str = "default"
     budget: Optional[DeadlineBudget] = None
     arrival: float = 0.0
-    deadline: float = float("inf")
+    #: Still waiting in its tenant queue (cleared at collection).
+    queued: bool = False
     context: Optional[contextvars.Context] = None
     #: The submitter's open span (if any) — the batch span links back to
     #: it so a coalesced request's trace shows the shared database pass.
@@ -169,14 +164,15 @@ class BatchRequest:
 
 
 class BatchingExecutor:
-    """Coalesces compatible requests into micro-batches on one dispatcher.
+    """Coalesces compatible requests into micro-batches led by submitters.
 
     Args:
         execute: ``(requests) -> results`` — runs one micro-batch (every
             request shares a compatibility key) and returns one result
-            per request, in order.  Runs on the dispatcher thread under
-            the *leader's* (oldest request's) submission context, so
-            ambient tracing and fault activation flow through.
+            per request, in order.  Runs on the leading submitter's
+            thread under the batch's oldest request's submission
+            context, so ambient tracing and fault activation flow
+            through.
         fallback: ``(request) -> result`` — per-request serial execution
             used when the batch path fails; keeps faults in the batch
             machinery lossless (pages stay byte-identical, only slower).
@@ -186,15 +182,18 @@ class BatchingExecutor:
             engine wires the ANN tier here).  Required whenever
             ``config.shed_threshold`` is set.
         config: the flow-control knobs.
+        leaders: how many batches may run at once, each on the thread
+            of the submitter leading it.
         metrics: optional :class:`~repro.service.metrics.ServiceMetrics`
             receiving ``batches``/``batched_queries``/``batch_shed``/
-            ``batch_fallbacks`` counters and the ``batch_wait`` stage.
-        clock: injectable monotonic clock (tests drive cutoffs
-            deterministically).
+            ``batch_fallbacks`` counters.
+        clock: injectable monotonic clock (arrival and queue-wait
+            stamps).
 
-    The dispatcher is one daemon thread; it drains independently of any
-    session lease or request thread, so a blocked submitter can never
-    deadlock the queue it is waiting on.
+    Each queued request's submitter stays in :meth:`submit`, leading
+    whenever a slot is free, until that request is served: the queue
+    drains without a thread of its own, so a submitter blocked at
+    admission can never deadlock it.
     """
 
     def __init__(
@@ -204,6 +203,7 @@ class BatchingExecutor:
         fallback: Optional[Callable[[BatchRequest], Any]] = None,
         shed_to: Optional[Callable[[BatchRequest], Any]] = None,
         config: Optional[BatchingConfig] = None,
+        leaders: int = 1,
         metrics=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -213,15 +213,19 @@ class BatchingExecutor:
                 "shed_threshold needs a shed_to target to serve shed requests "
                 "(RetrievalService wires its ANN tier: pass ann=True)"
             )
+        if leaders < 1:
+            raise ValueError(f"leaders must be at least 1, got {leaders}")
         self._execute = execute
         self._fallback = fallback
         self._shed_to = shed_to
         self.config = config
         self._metrics = metrics
         self._clock = clock
+        self._leaders = int(leaders)
         self._cond = threading.Condition()
         self._queues: "OrderedDict[str, Deque[BatchRequest]]" = OrderedDict()
         self._pending = 0
+        self._leading = 0
         self._last_tenant: Optional[str] = None
         self._closed = False
         # Stats (all under _cond's lock).
@@ -236,10 +240,6 @@ class BatchingExecutor:
         # Per-tenant enqueue->dispatch waits.  A fairness regression
         # shows up here long before batch sizes move.
         self._wait_by_tenant: Dict[str, LatencyHistogram] = {}
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-batcher", daemon=True
-        )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # Submission side
@@ -256,8 +256,10 @@ class BatchingExecutor:
     ) -> Any:
         """Enqueue one request and block until its micro-batch served it.
 
-        Raises whatever the scan raised for this request.  Blocks at
-        admission while ``max_pending`` requests are already queued.
+        While the request waits and a leader slot is free, this thread
+        leads the oldest queued request's batch itself.  Raises
+        whatever the scan raised for this request.  Blocks at admission
+        while ``max_pending`` requests are already queued.
         A request arriving past ``shed_threshold`` never enqueues: it
         is served by the ``shed_to`` handler on this thread and returns
         (or raises) immediately, leaving a ``batch_shed`` event on the
@@ -273,12 +275,7 @@ class BatchingExecutor:
                 self._cond.wait()
                 if self._closed:
                     raise RuntimeError("BatchingExecutor is shut down")
-            now = self._clock()
-            request.arrival = now
-            if budget is not None and budget.remaining != float("inf"):
-                request.deadline = now + max(
-                    0.0, budget.remaining - _DEADLINE_MARGIN_S
-                )
+            request.arrival = self._clock()
             self._submitted += 1
             threshold = self.config.shed_threshold
             queue_depth = self._pending
@@ -295,42 +292,53 @@ class BatchingExecutor:
                     queue = deque()
                     self._queues[tenant] = queue
                 queue.append(request)
+                request.queued = True
                 self._pending += 1
                 self._peak_pending = max(self._peak_pending, self._pending)
-                self._cond.notify_all()
         if shed:
             assert self._shed_to is not None
             add_event("batch_shed", queue_depth=queue_depth, threshold=threshold)
             return self._shed_to(request)
+        self._lead_until_taken(request)
         request.done.wait()
-        if self._metrics is not None:
-            self._metrics.observe("batch_wait", max(0.0, self._clock() - request.arrival))
         if request.error is not None:
             raise request.error
         return request.result
 
     # ------------------------------------------------------------------
-    # Dispatcher side
+    # Leader side
     # ------------------------------------------------------------------
 
-    def _oldest(self) -> Optional[BatchRequest]:
-        oldest: Optional[BatchRequest] = None
-        for queue in self._queues.values():
-            if queue and (oldest is None or queue[0].arrival < oldest.arrival):
-                oldest = queue[0]
-        return oldest
+    def _lead_until_taken(self, request: BatchRequest) -> None:
+        """Lead batches on this thread until some batch takes ``request``
+        (a batch led here need not include it)."""
+        while True:
+            with self._cond:
+                while request.queued and self._leading >= self._leaders:
+                    self._cond.wait()
+                if not request.queued:
+                    return
+                batch = self._take_batch()
+                self._leading += 1
+            try:
+                self._run_batch(batch)
+            finally:
+                with self._cond:
+                    self._leading -= 1
+                    self._cond.notify_all()
 
-    def _collect(self, key: Tuple) -> List[BatchRequest]:
-        """Pop up to ``max_batch`` key-compatible requests, fairly.
+    def _take_batch(self) -> List[BatchRequest]:
+        """Pop the oldest queued request's batch (caller holds the lock).
 
-        Round-robin over tenants starting after the last-served tenant;
-        only queue *fronts* are eligible (per-tenant FIFO order is never
+        Up to ``max_batch`` requests sharing its key, round-robin over
+        tenants starting after the last-served tenant; only queue
+        *fronts* are eligible (per-tenant FIFO order is never
         reordered), so an incompatible front parks that tenant for this
         batch but costs it nothing later.
         """
+        # Empty tenant queues are dropped, so every queue has a front.
+        key = min((queue[0] for queue in self._queues.values()), key=lambda r: r.arrival).key
         tenants = list(self._queues.keys())
-        if not tenants:
-            return []
         start = 0
         if self._last_tenant in tenants:
             start = (tenants.index(self._last_tenant) + 1) % len(tenants)
@@ -345,6 +353,7 @@ class BatchingExecutor:
                 if not queue or queue[0].key != key:
                     continue
                 request = queue.popleft()
+                request.queued = False
                 request.queue_wait = max(0.0, now - request.arrival)
                 wait = self._wait_by_tenant.get(tenant)
                 if wait is None:
@@ -360,53 +369,12 @@ class BatchingExecutor:
                     break
         for tenant in [name for name, queue in self._queues.items() if not queue]:
             del self._queues[tenant]
+        self._pending -= len(batch)
+        self._batches += 1
+        self._batched_queries += len(batch)
+        self._recent_sizes.append(len(batch))
+        self._cond.notify_all()  # admission waiters: the queue shrank
         return batch
-
-    def _cutoff(self, key: Tuple, oldest: BatchRequest) -> float:
-        """The moment this key's pending batch must dispatch."""
-        cutoff = oldest.arrival + self.config.max_wait_s
-        for queue in self._queues.values():
-            if queue and queue[0].key == key:
-                cutoff = min(cutoff, queue[0].deadline)
-        return cutoff
-
-    def _eligible(self, key: Tuple) -> int:
-        """How many queued requests :meth:`_collect` could take right now.
-
-        Per tenant, that is the longest key-matching *prefix* of its
-        FIFO queue (collection only ever pops fronts).
-        """
-        count = 0
-        for queue in self._queues.values():
-            for request in queue:
-                if request.key != key:
-                    break
-                count += 1
-        return count
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending and self._closed:
-                    return
-                oldest = self._oldest()
-                assert oldest is not None
-                key = oldest.key
-                now = self._clock()
-                cutoff = self._cutoff(key, oldest)
-                full = self._eligible(key) >= self.config.max_batch
-                if not full and not self._closed and now < cutoff:
-                    self._cond.wait(timeout=cutoff - now)
-                    continue
-                batch = self._collect(key)
-                self._pending -= len(batch)
-                self._batches += 1
-                self._batched_queries += len(batch)
-                self._recent_sizes.append(len(batch))
-                self._cond.notify_all()
-            self._run_batch(batch)
 
     def _run_batch(self, batch: List[BatchRequest]) -> None:
         leader = batch[0]
@@ -520,13 +488,14 @@ class BatchingExecutor:
             }
 
     def shutdown(self) -> None:
-        """Drain the queue, stop the dispatcher, reject new submits."""
+        """Reject new submits; return once nothing is queued or leading.
+
+        Queued requests are still served by their own submitters.
+        """
         with self._cond:
-            if self._closed:
-                return
             self._closed = True
             self._cond.notify_all()
-        self._dispatcher.join()
+            self._cond.wait_for(lambda: not self._pending and not self._leading)
 
     def __enter__(self) -> "BatchingExecutor":
         return self

@@ -9,9 +9,10 @@ relevance-feedback sessions at once:
   distinct sessions run fully in parallel (the store-level lock is held
   only for map lookups);
 * every exact scan is a micro-batch: the batching executor's batches
-  and, when batching is off (or a rescue needs one query rescanned), a
-  single query as a batch of one — one fan-out (:meth:`_scan`) serves
-  them all;
+  (each led by one of the waiting request threads, at most
+  ``max_workers`` at once) and, when batching is off (or a rescue needs
+  one query rescanned), a single query as a batch of one — one fan-out
+  (:meth:`_scan`) serves them all;
 * that scan executes across database shards on a shared
   :class:`~concurrent.futures.ThreadPoolExecutor` — the quadratic-form
   hot path is NumPy ``matmul``/``einsum`` which releases the GIL, so
@@ -129,8 +130,9 @@ class RetrievalService:
         n_shards: shards for the parallel scan path; default sizes
             shards to at least ``_MIN_SHARD_ROWS`` rows and at most the
             worker count.
-        max_workers: threads in the shared ranking pool (default: CPU
-            count, capped at 8).
+        max_workers: threads in the shared ranking pool, and the number
+            of micro-batches the batching executor runs at once
+            (default: CPU count, capped at 8).
         capacity: maximum in-memory sessions (LRU-evicted beyond).
         ttl_seconds: idle session lifetime before eviction.
         checkpoint_dir: where eviction checkpoints live; enables
@@ -260,6 +262,7 @@ class RetrievalService:
             method_factory=method_factory,
             metrics=self.metrics,
             retry=self.resilience.retry,
+            dimension=self._dimension,
         )
         self.cache = ResultCache(cache_size)
         self._method_factory = method_factory
@@ -324,6 +327,7 @@ class RetrievalService:
                 fallback=self._batch_fallback,
                 shed_to=self._shed_to_ann if self._spill is not None else None,
                 config=config,
+                leaders=max_workers,
                 metrics=self.metrics,
                 clock=self._clock,
             )
@@ -421,6 +425,8 @@ class RetrievalService:
                         f"query vector must have shape ({self._dimension},), "
                         f"got {point.shape}"
                     )
+                if not np.all(np.isfinite(point)):
+                    raise ValueError("query vector must be finite")
             if session_id is None:
                 session_id = uuid.uuid4().hex
             elif session_id in self.store:
@@ -909,8 +915,7 @@ class RetrievalService:
         ks = [request.k for request in requests]
         # The batch fights under the most permissive member budget:
         # retries for shared work should not be cut short by the one
-        # stingiest request (its own deadline was already honoured at
-        # the queueing cutoff).  ``None`` means unlimited.
+        # stingiest request.  ``None`` means unlimited.
         budget: Optional[DeadlineBudget] = None
         for request in requests:
             if request.budget is None or request.budget.remaining == float("inf"):

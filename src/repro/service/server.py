@@ -45,6 +45,9 @@ on a dedicated thread pool sized to the admission limit — the event
 loop never blocks, and backpressure composes: socket accept → admission
 semaphore → batching executor queue → micro-batch.
 
+A request that cannot be framed (a bad ``Content-Length``, an
+over-long line) is a 400 that closes the connection.
+
 Pages serialize losslessly: JSON float round-trips are exact for IEEE
 doubles, so a page read over HTTP compares bit-for-bit with the same
 page served in-process.
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import queue
 import threading
 import time
@@ -90,6 +94,23 @@ _REASON = {
     413: "Payload Too Large",
     500: "Internal Server Error",
 }
+
+
+def _json_object(body: bytes) -> Dict[str, Any]:
+    payload = json.loads(body.decode("utf-8") or "{}")
+    if not isinstance(payload, dict):
+        raise ValueError(f"body must be a JSON object, not {type(payload).__name__}")
+    return payload
+
+
+def _numbers(values: Any, kind: type = float) -> bool:
+    """Whether ``values`` is a JSON list of ``kind``: integers always
+    qualify, finite floats only for ``float``, booleans never."""
+    return isinstance(values, list) and all(
+        isinstance(v, int) and not isinstance(v, bool)
+        or kind is float and isinstance(v, float) and math.isfinite(v)
+        for v in values
+    )
 
 
 def _page_payload(page) -> Dict[str, Any]:
@@ -256,7 +277,13 @@ class RetrievalServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError as error:
+                    # Unframeable (a bad Content-Length, a line past the
+                    # stream limit): where the next request starts is unknown.
+                    await self._write_response(writer, 400, {"error": str(error)}, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -313,7 +340,10 @@ class RetrievalServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ValueError(f"malformed Content-Length {raw_length[:32]!r}")
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
             return method, target, headers, b"__too_large__"
         body = await reader.readexactly(length) if length else b""
@@ -361,11 +391,6 @@ class RetrievalServer:
         context: TraceContext,
         request_id: str,
     ) -> Tuple[int, Any, Optional[str]]:
-        split = urlsplit(target)
-        path = [part for part in split.path.split("/") if part]
-        query = {
-            key: values[-1] for key, values in parse_qs(split.query).items()
-        }
         # Service calls run off-loop; the wrapper adopts the inbound
         # trace context on the worker thread, so the engine's own root
         # span nests under this request's http_request span and keeps
@@ -373,7 +398,7 @@ class RetrievalServer:
         # id back for the response's traceparent.
         holder: Dict[str, str] = {}
         tracer = self.service.tracer
-        route_name = "/" + "/".join(path)
+        route_name = target
         loop = asyncio.get_running_loop()
 
         def traced(fn: Callable[[], Any]) -> Callable[[], Any]:
@@ -398,6 +423,10 @@ class RetrievalServer:
 
         call = lambda fn: loop.run_in_executor(self._workers, traced(fn))  # noqa: E731
         try:
+            split = urlsplit(target)
+            path = [part for part in split.path.split("/") if part]
+            query = {key: values[-1] for key, values in parse_qs(split.query).items()}
+            route_name = "/" + "/".join(path)
             if body == b"__too_large__":
                 status, payload = 413, {"error": "request body too large"}
             else:
@@ -444,18 +473,17 @@ class RetrievalServer:
         if path == ["debug", "slo"] and method == "GET":
             return 200, await call(self.service.slo.snapshot)
         if path == ["sessions"] and method == "POST":
-            payload = json.loads(body.decode("utf-8") or "{}")
-            if "query" not in payload:
-                return 400, {"error": "body must carry a 'query'"}
-            raw = payload["query"]
-            if isinstance(raw, bool):
-                return 400, {"error": "'query' must be a row id or a vector"}
-            spec = int(raw) if isinstance(raw, (int, float)) else raw
+            payload = _json_object(body)
+            spec, requested_id = payload.get("query"), payload.get("session_id")
+            if not (_numbers([spec], int) or _numbers(spec)):
+                return 400, {"error": "body must carry a 'query': a row id or a vector"}
+            if not isinstance(requested_id, (str, type(None))):
+                return 400, {"error": "'session_id' must be a string"}
             tenant = headers.get("x-tenant")
             session_id = await call(
                 lambda: self.service.create_session(
                     spec,
-                    session_id=payload.get("session_id"),
+                    session_id=requested_id,
                     tenant=tenant,
                 )
             )
@@ -475,11 +503,15 @@ class RetrievalServer:
             if method != "POST":
                 return 405, {"error": "feedback is POST-only"}
             session_id = path[1]
-            payload = json.loads(body.decode("utf-8") or "{}")
+            payload = _json_object(body)
             relevant = payload.get("relevant_ids", [])
             scores = payload.get("scores")
             k = payload.get("k")
             approximate = payload.get("approximate", False)
+            if not _numbers(relevant, int) or not (k is None or _numbers([k], int)):
+                return 400, {"error": "'relevant_ids' must list row ids, 'k' an integer"}
+            if not (scores is None or _numbers(scores)):
+                return 400, {"error": "'scores' must be a list of numbers"}
             if not isinstance(approximate, bool):
                 return 400, {"error": "'approximate' must be a JSON boolean"}
             page = await call(

@@ -32,7 +32,9 @@ surfaces as a raw ``json.JSONDecodeError``: restore quarantines it
 fresh session from the still-readable genesis record — marked
 ``checkpoint_rebuilt`` on every subsequent response — or, when nothing
 is salvageable, raises the typed :class:`CheckpointCorruption` so the
-id becomes free for a clean re-create.  Checkpoint reads retry
+id becomes free for a clean re-create; so does a file that parses but
+cannot rebuild a finite session of the served dimension.  Checkpoint
+reads retry
 transient errors with bounded backoff; a failed checkpoint *write*
 falls back to the in-memory archive instead of losing feedback state.
 """
@@ -158,6 +160,8 @@ class SessionStore:
         clock: monotonic time source (injectable for tests).
         retry: backoff policy for transient checkpoint-read errors
             (reads are idempotent; the default makes three attempts).
+        dimension: feature dimensionality of the served collection; a
+            checkpoint whose queries differ is corrupt (``None``: any).
     """
 
     def __init__(
@@ -169,6 +173,7 @@ class SessionStore:
         metrics: Optional[ServiceMetrics] = None,
         clock: Callable[[], float] = time.monotonic,
         retry: Optional[RetryPolicy] = None,
+        dimension: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
@@ -183,6 +188,7 @@ class SessionStore:
         self._metrics = metrics if metrics is not None else ServiceMetrics()
         self._clock = clock
         self.retry = retry if retry is not None else RetryPolicy(base_delay_s=0.01)
+        self.dimension = dimension
         self._lock = threading.RLock()
         self._live: Dict[str, ManagedSession] = {}
         self._archive: Dict[str, Optional[dict]] = {}
@@ -496,15 +502,27 @@ class SessionStore:
             text = self._read_checkpoint(path, session_id)
             try:
                 mode, state = self.decode_checkpoint(session_id, text)
+                if mode == "genesis":
+                    session = self._rebuild_from_genesis(session_id, state)
+                else:
+                    session = self._session_from_state(session_id, state)
+                self._check_servable(session)
             except CheckpointCorruption:
                 self._quarantine(path, session_id, action="quarantined")
                 raise
+            except SessionNotFound:
+                raise
+            except Exception as error:
+                # Untrusted bytes that parsed but cannot rebuild a
+                # servable session: corruption, not a failed request.
+                self._quarantine(path, session_id, action="quarantined")
+                raise CheckpointCorruption(
+                    session_id, f"unrestorable state ({type(error).__name__}: {error})"
+                ) from None
             if mode == "genesis":
                 self._quarantine(path, session_id, action="rebuilt")
-                session = self._rebuild_from_genesis(session_id, state)
             else:
                 path.unlink()
-                session = self._session_from_state(session_id, state)
         now = self._clock()
         session.created = now
         session.last_access = now
@@ -525,11 +543,32 @@ class SessionStore:
         if hasattr(method, "config"):
             method.config = engine.config
         genesis = state.get("genesis")
+        provenance = state.get("provenance", [])
+        if not all(isinstance(reason, str) for reason in provenance):
+            raise ValueError("provenance must be strings")
         return ManagedSession(
             session_id=session_id,
             method=method,
             query=engine.current_query(),
             iteration=int(state["iteration"]),
-            genesis=None if genesis is None else np.asarray(genesis, dtype=float),
-            provenance=tuple(state.get("provenance", ())),
+            genesis=None if genesis is None else self._vector(genesis),
+            provenance=tuple(provenance),
         )
+
+    def _vector(self, values) -> np.ndarray:
+        """``values`` as a finite vector of the served dimension, else
+        ``ValueError`` (a NaN query ranks nothing)."""
+        vector = np.asarray(values, dtype=float)
+        if vector.ndim != 1 or self.dimension not in (None, vector.shape[0]):
+            raise ValueError(f"vector of shape {vector.shape}, serving {self.dimension}")
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("vector is not finite")
+        return vector
+
+    def _check_servable(self, session: ManagedSession) -> None:
+        """Raise ``ValueError`` unless every query point is finite and
+        of the served dimension."""
+        for point in getattr(session.query, "points", ()):
+            self._vector(point.center)
+            if not (np.all(np.isfinite(point.inverse)) and np.isfinite(point.weight)):
+                raise ValueError("query point is not finite")

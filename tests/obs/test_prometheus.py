@@ -331,7 +331,7 @@ class TestBatchingFamilies:
             k=5,
             use_index=False,
             n_shards=1,
-            batching=BatchingConfig(max_batch=4, max_wait_s=0.001),
+            batching=BatchingConfig(max_batch=4),
         ) as service:
             session_id = service.create_session(0, tenant="acme")
             service.query(session_id)
@@ -354,7 +354,7 @@ class TestLatencyFamilies:
             k=5,
             use_index=False,
             n_shards=1,
-            batching=BatchingConfig(max_batch=4, max_wait_s=0.001),
+            batching=BatchingConfig(max_batch=4),
         ) as service:
             session_id = service.create_session(0, tenant="acme")
             service.query(session_id)

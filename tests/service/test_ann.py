@@ -26,9 +26,7 @@ from repro.service import BatchingConfig, RetrievalService
 ANN_CONFIG = SpillTreeConfig(leaf_capacity=16, max_leaves=4)
 
 #: Shed at a queue depth of 2 (well below the backpressure bound).
-SHED_CONFIG = BatchingConfig(
-    max_batch=1, max_wait_s=0.0, max_pending=8, shed_threshold=2
-)
+SHED_CONFIG = BatchingConfig(max_batch=1, max_pending=8, shed_threshold=2)
 
 DESCEND_OUTAGE = FaultPlan(
     specs=(FaultSpec(site="index.descend", kind="error", probability=1.0),)
@@ -185,15 +183,20 @@ class TestLoadShedding:
     def test_shed_pages_come_from_the_tier_and_queued_pages_stay_exact(
         self, database
     ):
+        # One leader slot: the parked first batch makes later requests queue.
         with ann_service(
-            database, use_index=False, cache_size=0, batching=SHED_CONFIG
+            database,
+            use_index=False,
+            cache_size=0,
+            batching=SHED_CONFIG,
+            max_workers=1,
         ) as service:
             executor = service.batching
             entered, gate = threading.Event(), threading.Event()
             execute = executor._execute
 
             def held_execute(requests):
-                # The first batch parks the dispatcher until released.
+                # The first batch parks the only leader until released.
                 entered.set()
                 gate.wait(10.0)
                 return execute(requests)

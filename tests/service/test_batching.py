@@ -2,19 +2,25 @@
 
 `repro.service.batching.BatchingExecutor` is pure coordination — the
 scan itself is an injected callable — so these tests drive it with stub
-``execute``/``fallback`` functions and assert the coalescing, fairness,
-deadline, backpressure, shedding and recovery contracts directly.
-Requests are submitted from helper threads because ``submit`` blocks
-until the micro-batch serves it.
+``execute``/``fallback`` functions and assert the leader/follower
+dispatch, coalescing, fairness, backpressure, shedding and recovery
+contracts directly.  Requests are submitted from helper threads because
+``submit`` blocks until the micro-batch serves it.  Tests that need
+followers to queue up park the one leader (``leaders=1``) inside a
+gated first batch.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as hst
 
 from repro.core.kernels import compile_query
 from repro.obs import TailSamplingPolicy, Tracer
@@ -23,7 +29,6 @@ from repro.service.batching import (
     BatchingExecutor,
     compatibility_key,
 )
-from repro.service.resilience import DeadlineBudget
 
 KEY_A = ("scope-a", 8, ("CholeskyKernel",))
 KEY_B = ("scope-b", 8, ("CholeskyKernel",))
@@ -86,10 +91,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_batch"):
             BatchingConfig(max_batch=0)
 
-    def test_rejects_negative_wait(self):
-        with pytest.raises(ValueError, match="max_wait_s"):
-            BatchingConfig(max_wait_s=-0.001)
-
     def test_rejects_zero_pending(self):
         with pytest.raises(ValueError, match="max_pending"):
             BatchingConfig(max_pending=0)
@@ -104,6 +105,10 @@ class TestConfigValidation:
         deeper: a threshold there or beyond could never shed."""
         with pytest.raises(ValueError, match="max_pending"):
             BatchingConfig(max_pending=16, shed_threshold=threshold)
+
+    def test_rejects_zero_leaders(self):
+        with pytest.raises(ValueError, match="leaders"):
+            BatchingExecutor(RecordingExecute(), leaders=0)
 
     def test_shed_threshold_needs_a_shed_target(self):
         config = BatchingConfig(max_pending=16, shed_threshold=2)
@@ -146,30 +151,50 @@ class TestCompatibilityKey:
 class TestCoalescing:
     def test_single_submit_is_served(self):
         execute = RecordingExecute()
-        with BatchingExecutor(
-            execute, config=BatchingConfig(max_wait_s=0.001)
-        ) as executor:
+        with BatchingExecutor(execute) as executor:
             assert executor.submit("q0", KEY_A, 10) == ("served", "q0")
         assert execute.batches == [[("q0", "default")]]
 
+    def test_lone_submit_runs_on_the_submitting_thread(self):
+        """No dispatcher hand-off: an idle executor scans a lone request
+        on the thread that submitted it, and owns no thread at all."""
+        threads = []
+
+        def execute(batch):
+            threads.append(threading.current_thread())
+            return [request.payload for request in batch]
+
+        with BatchingExecutor(execute) as executor:
+            assert not any(
+                thread.name == "repro-batcher" for thread in threading.enumerate()
+            )
+            assert executor.submit("q", KEY_A, 10) == "q"
+        assert threads == [threading.current_thread()]
+
     def test_full_batch_dispatches_together(self):
-        """With a long wait window, a full batch still goes immediately —
-        and every member gets its own positional result."""
-        execute = RecordingExecute()
-        config = BatchingConfig(max_batch=4, max_wait_s=30.0)
-        with BatchingExecutor(execute, config=config) as executor:
+        """Requests that queue behind a busy leader ride one batch, and
+        every member gets its own positional result."""
+        gate = threading.Event()
+        execute = RecordingExecute(gate=gate)
+        config = BatchingConfig(max_batch=4)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
+            first = Submitter(executor, "seed")
+            wait_for(lambda: len(execute.batches) == 1)
             submitters = [Submitter(executor, f"q{i}") for i in range(4)]
+            wait_for(lambda: executor.queue_depth == 4)
+            gate.set()
+            first.join()
             results = {s.join() for s in submitters}
         assert results == {("served", f"q{i}") for i in range(4)}
-        assert len(execute.batches) == 1
-        assert len(execute.batches[0]) == 4
+        assert len(execute.batches) == 2
+        assert len(execute.batches[1]) == 4
 
     def test_incompatible_keys_never_share_a_batch(self):
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=8, max_wait_s=0.005)
-        with BatchingExecutor(execute, config=config) as executor:
-            # Park the dispatcher inside batch #1, then queue a mix.
+        config = BatchingConfig(max_batch=8)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
+            # Park the leader inside batch #1, then queue a mix.
             first = Submitter(executor, "seed")
             wait_for(lambda: len(execute.batches) == 1)
             mixed = [
@@ -192,9 +217,7 @@ class TestCoalescing:
 
     def test_stats_shape(self):
         execute = RecordingExecute()
-        with BatchingExecutor(
-            execute, config=BatchingConfig(max_wait_s=0.001)
-        ) as executor:
+        with BatchingExecutor(execute) as executor:
             executor.submit("q", KEY_A, 10, tenant="t0")
             stats = executor.stats()
         assert stats["submitted"] == 1
@@ -213,19 +236,31 @@ class TestCoalescing:
 class TestQueueWaitAccounting:
     def test_queue_wait_tracked_per_tenant(self):
         """A request parked behind a busy batch accrues measurable queue
-        wait, attributed to its own tenant."""
+        wait, attributed to its own tenant — and the wait ends when its
+        batch is collected, so its own 50 ms scan is not counted."""
         gate = threading.Event()
-        execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=2, max_wait_s=0.005)
-        with BatchingExecutor(execute, config=config) as executor:
+        batches = []
+
+        def execute(batch):
+            batches.append(batch)
+            if len(batches) == 1:
+                gate.wait(10.0)
+            else:
+                time.sleep(0.05)
+            return [request.payload for request in batch]
+
+        config = BatchingConfig(max_batch=2)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
             first = Submitter(executor, "seed", tenant="fast")
-            wait_for(lambda: len(execute.batches) == 1)
+            wait_for(lambda: len(batches) == 1)
+            start = time.monotonic()
             parked = Submitter(executor, "q1", tenant="slow-co")
             wait_for(lambda: executor.queue_depth == 1)
             time.sleep(0.02)  # let the parked request accrue wait
             gate.set()
             first.join()
             parked.join()
+            elapsed = time.monotonic() - start
             stats = executor.stats()
         waits = stats["queue_wait_by_tenant"]
         assert set(waits) == {"fast", "slow-co"}
@@ -234,15 +269,14 @@ class TestQueueWaitAccounting:
         assert slow["sum"] >= 0.02
         assert slow["p50"] >= 0.02
         assert slow["p95"] >= slow["p50"] >= 0.0
+        assert slow["sum"] <= elapsed - 0.05
         assert waits["fast"]["count"] == 1
 
     def test_queue_wait_reaches_prometheus(self):
         from repro.obs import prometheus_text
 
         execute = RecordingExecute()
-        with BatchingExecutor(
-            execute, config=BatchingConfig(max_wait_s=0.001)
-        ) as executor:
+        with BatchingExecutor(execute) as executor:
             executor.submit("q", KEY_A, 10, tenant="acme")
             stats = executor.stats()
         text = prometheus_text({"batching": stats})
@@ -257,8 +291,8 @@ class TestTenantFairness:
         starved behind the flood."""
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=4, max_wait_s=0.005)
-        with BatchingExecutor(execute, config=config) as executor:
+        config = BatchingConfig(max_batch=4)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
             first = Submitter(executor, "seed", tenant="warm")
             wait_for(lambda: len(execute.batches) == 1)
             flood = [
@@ -284,8 +318,8 @@ class TestTenantFairness:
     def test_within_tenant_fifo_order_is_preserved(self):
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=8, max_wait_s=0.005)
-        with BatchingExecutor(execute, config=config) as executor:
+        config = BatchingConfig(max_batch=8)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
             first = Submitter(executor, "seed")
             wait_for(lambda: len(execute.batches) == 1)
             ordered = []
@@ -305,42 +339,13 @@ class TestTenantFairness:
         assert tenant_order == ["q0", "q1", "q2", "q3"]
 
 
-class TestDeadlines:
-    def test_tight_budget_dispatches_before_max_wait(self):
-        """A request whose deadline budget is nearly spent must not sit
-        out the full collection window."""
-        execute = RecordingExecute()
-        config = BatchingConfig(max_batch=32, max_wait_s=30.0)
-        with BatchingExecutor(execute, config=config) as executor:
-            budget = DeadlineBudget(0.05)
-            start = time.monotonic()
-            result = executor.submit("urgent", KEY_A, 10, budget=budget)
-            elapsed = time.monotonic() - start
-        assert result == ("served", "urgent")
-        assert elapsed < 5.0  # far below the 30 s window
-
-    def test_infinite_budget_waits_for_mates(self):
-        """An unconstrained request honours max_wait_s and picks up a
-        mate that arrives inside the window."""
-        execute = RecordingExecute()
-        config = BatchingConfig(max_batch=8, max_wait_s=0.25)
-        with BatchingExecutor(execute, config=config) as executor:
-            first = Submitter(executor, "early")
-            wait_for(lambda: executor.queue_depth == 1)
-            second = Submitter(executor, "late")
-            first.join()
-            second.join()
-        assert len(execute.batches) == 1
-        assert len(execute.batches[0]) == 2
-
-
 class TestBackpressure:
     def test_submit_blocks_at_max_pending(self):
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=1, max_wait_s=0.0, max_pending=2)
-        with BatchingExecutor(execute, config=config) as executor:
-            # Batch #1 (the seed) parks the dispatcher; two more fill
+        config = BatchingConfig(max_batch=1, max_pending=2)
+        with BatchingExecutor(execute, config=config, leaders=1) as executor:
+            # Batch #1 (the seed) parks the leader; two more fill
             # the queue to max_pending.
             first = Submitter(executor, "seed")
             wait_for(lambda: len(execute.batches) == 1)
@@ -369,10 +374,10 @@ class TestBackpressure:
             shed_served.append(request.payload)
             return ("ann", request.payload)
 
-        config = BatchingConfig(
-            max_batch=8, max_wait_s=0.0, max_pending=16, shed_threshold=2
-        )
-        with BatchingExecutor(execute, shed_to=shed_to, config=config) as executor:
+        config = BatchingConfig(max_batch=8, max_pending=16, shed_threshold=2)
+        with BatchingExecutor(
+            execute, shed_to=shed_to, config=config, leaders=1
+        ) as executor:
             first = Submitter(executor, "seed")
             wait_for(lambda: len(execute.batches) == 1)
             queued = [Submitter(executor, "q0"), Submitter(executor, "q1")]
@@ -397,11 +402,9 @@ class TestBackpressure:
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
         tracer = Tracer(tail_sampling=TailSamplingPolicy(keep_probability=0.0))
-        config = BatchingConfig(
-            max_batch=8, max_wait_s=0.0, max_pending=16, shed_threshold=1
-        )
+        config = BatchingConfig(max_batch=8, max_pending=16, shed_threshold=1)
         executor = BatchingExecutor(
-            execute, shed_to=lambda request: "ann", config=config
+            execute, shed_to=lambda request: "ann", config=config, leaders=1
         )
         with executor:
             first = Submitter(executor, "seed")
@@ -430,7 +433,7 @@ class TestRecovery:
             fallback_calls.append(request.payload)
             return ("solo", request.payload)
 
-        config = BatchingConfig(max_batch=4, max_wait_s=30.0)
+        config = BatchingConfig(max_batch=4)
         with BatchingExecutor(execute, fallback=fallback, config=config) as executor:
             submitters = [Submitter(executor, f"q{i}") for i in range(4)]
             results = {s.join() for s in submitters}
@@ -440,22 +443,32 @@ class TestRecovery:
 
     def test_batch_error_without_fallback_propagates(self):
         execute = RecordingExecute(fail_with=RuntimeError("scan exploded"))
-        with BatchingExecutor(
-            execute, config=BatchingConfig(max_wait_s=0.001)
-        ) as executor:
+        with BatchingExecutor(execute) as executor:
             with pytest.raises(RuntimeError, match="scan exploded"):
                 executor.submit("q", KEY_A, 10)
 
     def test_wrong_result_count_is_recovered(self):
-        def execute(batch):
-            return ["only-one"]  # for a 2-request batch
+        gate = threading.Event()
+        batches = []
 
-        config = BatchingConfig(max_batch=2, max_wait_s=30.0)
+        def execute(batch):
+            batches.append(len(batch))
+            if len(batches) == 1:
+                gate.wait(10.0)
+            return ["only-one"]  # wrong for the 2-request batch
+
+        config = BatchingConfig(max_batch=2)
         with BatchingExecutor(
-            execute, fallback=lambda r: ("solo", r.payload), config=config
+            execute, fallback=lambda r: ("solo", r.payload), config=config, leaders=1
         ) as executor:
+            first = Submitter(executor, "seed")
+            wait_for(lambda: len(batches) == 1)
             submitters = [Submitter(executor, f"q{i}") for i in range(2)]
+            wait_for(lambda: executor.queue_depth == 2)
+            gate.set()
+            assert first.join() == "only-one"
             results = {s.join() for s in submitters}
+        assert batches == [1, 2]
         assert results == {("solo", "q0"), ("solo", "q1")}
 
     def test_failing_fallback_propagates_to_the_submitter(self):
@@ -464,9 +477,7 @@ class TestRecovery:
         def fallback(request):
             raise ValueError(f"solo down for {request.payload}")
 
-        with BatchingExecutor(
-            execute, fallback=fallback, config=BatchingConfig(max_wait_s=0.001)
-        ) as executor:
+        with BatchingExecutor(execute, fallback=fallback) as executor:
             with pytest.raises(ValueError, match="solo down for q"):
                 executor.submit("q", KEY_A, 10)
 
@@ -481,8 +492,8 @@ class TestLifecycle:
     def test_shutdown_drains_queued_requests(self):
         gate = threading.Event()
         execute = RecordingExecute(gate=gate)
-        config = BatchingConfig(max_batch=1, max_wait_s=0.0)
-        executor = BatchingExecutor(execute, config=config)
+        config = BatchingConfig(max_batch=1)
+        executor = BatchingExecutor(execute, config=config, leaders=1)
         first = Submitter(executor, "seed")
         wait_for(lambda: len(execute.batches) == 1)
         queued = [Submitter(executor, f"q{i}") for i in range(3)]
@@ -491,6 +502,25 @@ class TestLifecycle:
         executor.shutdown()  # must serve the 3 queued requests first
         assert first.join() == ("served", "seed")
         assert {s.join() for s in queued} == {("served", f"q{i}") for i in range(3)}
+
+    def test_shutdown_waits_for_the_batch_in_flight(self):
+        """``shutdown`` returns only once a gated batch has finished, and
+        then rejects new submits."""
+        gate = threading.Event()
+        execute = RecordingExecute(gate=gate)
+        executor = BatchingExecutor(execute, leaders=1)
+        first = Submitter(executor, "seed")
+        wait_for(lambda: len(execute.batches) == 1)
+        closer = threading.Thread(target=executor.shutdown, daemon=True)
+        closer.start()
+        closer.join(0.05)
+        assert closer.is_alive(), "shutdown returned while a batch was running"
+        gate.set()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        assert first.join() == ("served", "seed")
+        with pytest.raises(RuntimeError, match="shut down"):
+            executor.submit("q", KEY_A, 10)
 
     def test_shutdown_is_idempotent(self):
         executor = BatchingExecutor(RecordingExecute())
@@ -502,3 +532,60 @@ class TestLifecycle:
             pass
         with pytest.raises(RuntimeError, match="shut down"):
             executor.submit("q", KEY_A, 10)
+
+
+class TestConcurrentLeaders:
+    @seed(22)
+    @given(
+        keys=hst.lists(hst.integers(0, 2), min_size=32, max_size=32),
+        tenants=hst.lists(hst.integers(0, 3), min_size=32, max_size=32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_two_leaders_serve_each_request_once_in_tenant_order(self, keys, tenants):
+        """32 concurrent submitters over 3 keys and 4 tenants: at most
+        ``leaders`` batches overlap, every request is served exactly
+        once with its own result, and each tenant's requests are
+        collected in the order they were queued."""
+        scopes = [(f"scope-{key}", 8, ("CholeskyKernel",)) for key in range(3)]
+        # A counter clock, read only under the executor's lock: arrivals
+        # and collection stamps are strictly ordered by queue events.
+        ticks = itertools.count()
+        lock = threading.Lock()
+        running = [0, 0]  # current, peak
+        collected = []
+
+        def execute(batch):
+            with lock:
+                running[0] += 1
+                running[1] = max(running)
+                for position, request in enumerate(batch):
+                    stamp = request.arrival + request.queue_wait
+                    collected.append(
+                        (stamp, position, request.tenant, request.arrival, request.payload)
+                    )
+            time.sleep(0.001)
+            with lock:
+                running[0] -= 1
+            return [("served", request.payload) for request in batch]
+
+        config = BatchingConfig(max_batch=4)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the lock dance
+        try:
+            with BatchingExecutor(
+                execute, config=config, leaders=2, clock=lambda: float(next(ticks))
+            ) as executor:
+                submitters = [
+                    Submitter(executor, i, scopes[key], tenant=f"t{tenant}")
+                    for i, (key, tenant) in enumerate(zip(keys, tenants))
+                ]
+                results = [submitter.join() for submitter in submitters]
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert results == [("served", i) for i in range(32)]
+        assert sorted(payload for *_, payload in collected) == list(range(32))
+        assert 1 <= running[1] <= 2
+        collected.sort()
+        for tenant in {f"t{t}" for t in tenants}:
+            arrivals = [arrival for _, _, name, arrival, _ in collected if name == tenant]
+            assert arrivals == sorted(arrivals)

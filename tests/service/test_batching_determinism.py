@@ -208,7 +208,7 @@ class TestRandomInterleavings:
             serial = run_sessions(service, query_ids)
         with RetrievalService(
             tie_database,
-            batching=BatchingConfig(max_batch=8, max_wait_s=0.01),
+            batching=BatchingConfig(max_batch=8),
             **kwargs,
         ) as service:
             gate = threading.Barrier(len(query_ids) + 1)

@@ -170,7 +170,7 @@ class TestHttpEndToEnd:
             max_workers=2,
             tracer=tracer,
             cache_size=0,
-            batching=BatchingConfig(max_batch=4, max_wait_s=0.001),
+            batching=BatchingConfig(max_batch=4),
         ) as service:
             server = RetrievalServer(service, port=0, max_concurrent=4)
             host, port = server.start_in_background()

@@ -447,7 +447,7 @@ class TestClosedLoopLoad:
 
         with RetrievalService(
             database,
-            batching=BatchingConfig(max_batch=8, max_wait_s=0.005),
+            batching=BatchingConfig(max_batch=8),
             **kwargs,
         ) as service:
             server = RetrievalServer(service, port=0, max_concurrent=8)

@@ -307,7 +307,7 @@ class TestServeCommand:
         assert args.port == 8080
         assert args.max_concurrent == 64
         assert args.batch_size == 32
-        assert args.batch_wait_ms == 2.0
+        assert not hasattr(args, "batch_wait_ms")
         assert args.shed_threshold is None
         assert not args.no_batching
         assert not args.use_index
