@@ -1,16 +1,14 @@
 """ANN tier benchmark: the recall-versus-speedup contract.
 
-Sweeps the spill fraction for both split rules (kd max-variance and
-random-projection) over the full Qcluster feedback workload — adaptive
-multi-cluster ``scheme="inverse"`` queries, the production shape — and
-scores each configuration's defeatist search against the exact
-compiled shard scan: recall@k (mean and worst query), wall-clock
-speedup, candidate fraction.  The shipped operating point
-(``SpillTreeConfig()``: kd, spill 0.3) must clear the committed
-contract here at full scale:
+Measures the shipped operating point — the hybrid tree's row-budgeted
+leaf search with its build-time calibrated budget — over the full
+Qcluster feedback workload (adaptive multi-cluster ``scheme="inverse"``
+queries, the production shape) against the exact compiled shard scan:
+recall@k (mean and worst query), wall-clock speedup, candidate
+fraction.  It must clear the committed contract here at full scale:
 
-* recall@k >= 0.9 on the feedback workload, and
-* >= 2x faster than the exact progressive scan.
+* recall@k >= 0.9 on the feedback workload, worst query >= 0.75, and
+* >= 2x faster than the exact scan.
 
 Writes ``BENCH_ann.json`` (override via ``QCLUSTER_BENCH_ANN_OUT``).
 ``QCLUSTER_BENCH_SMALL=1`` shrinks the workload for CI and skips the
@@ -28,13 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.ann import DEFAULT_RULE, DEFAULT_SPILL, AnnSweepConfig, run_sweep
+from repro.experiments.ann import AnnSweepConfig, run_sweep
 
 SMALL = os.environ.get("QCLUSTER_BENCH_SMALL", "") == "1"
 OUT_PATH = Path(os.environ.get("QCLUSTER_BENCH_ANN_OUT", "BENCH_ann.json"))
 
 #: The committed contract, also floored by ``baselines/ann.json``.
 RECALL_FLOOR = 0.9
+RECALL_MIN_FLOOR = 0.75
 SPEEDUP_FLOOR = 2.0
 
 
@@ -43,16 +42,13 @@ def payload():
     config = AnnSweepConfig.small() if SMALL else AnnSweepConfig()
     data = run_sweep(config)
     data["small_mode"] = SMALL
-    data["contract"] = {"recall": RECALL_FLOOR, "speedup": SPEEDUP_FLOOR}
+    data["contract"] = {
+        "recall": RECALL_FLOOR,
+        "recall_min": RECALL_MIN_FLOOR,
+        "speedup": SPEEDUP_FLOOR,
+    }
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     return data
-
-
-def default_entry(payload):
-    """The swept entry matching the shipped ``SpillTreeConfig()``."""
-    by_name = {entry["name"]: entry for entry in payload["configs"]}
-    assert payload["default"] in by_name, "sweep must include the operating point"
-    return by_name[payload["default"]]
 
 
 class TestAnnRecallBenchmark:
@@ -60,54 +56,41 @@ class TestAnnRecallBenchmark:
         assert OUT_PATH.exists()
         on_disk = json.loads(OUT_PATH.read_text())
         assert on_disk["n"] == payload["n"]
-        assert on_disk["default"] == f"{DEFAULT_RULE}:spill={DEFAULT_SPILL:g}"
-        names = {entry["name"] for entry in on_disk["configs"]}
-        assert on_disk["default"] in names
+        assert on_disk["row_budget"] == payload["row_budget"]
 
-    def test_defeatist_search_prunes_every_config(self, payload):
-        """Approximation must buy something: no config scans everything."""
-        for entry in payload["configs"]:
-            assert 0.0 < entry["candidate_fraction"] < 1.0, entry["name"]
-            assert entry["node_accesses_per_query"] > 0
-
-    def test_spill_buys_recall(self, payload):
-        """Overlap is the point: spilled descent beats the spill-free
-        partition tree on recall for both split rules."""
-        for rule in ("kd", "rp"):
-            by_spill = {
-                entry["spill"]: entry["recall_mean"]
-                for entry in payload["configs"]
-                if entry["rule"] == rule
-            }
-            assert by_spill[DEFAULT_SPILL] > by_spill[0.0], rule
+    def test_search_prunes(self, payload):
+        """Approximation must buy something: the budget scores a share
+        of the collection, never all of it."""
+        assert 0.0 < payload["candidate_fraction"] < 1.0
+        assert payload["row_budget"] < payload["n"]
+        assert payload["node_accesses_per_query"] > 0
 
     def test_calibration_tracks_measured_recall(self, payload):
         """The build-time estimate stamped on served pages must be in
         the neighbourhood of workload recall, not a fabrication."""
-        entry = default_entry(payload)
-        assert entry["calibrated_recall"] is not None
-        assert abs(entry["calibrated_recall"] - entry["recall_mean"]) < 0.25
+        assert payload["calibrated_recall"] is not None
+        assert abs(payload["calibrated_recall"] - payload["recall_mean"]) < 0.25
 
     def test_recall_contract_at_operating_point(self, payload):
-        """The committed floor: recall@k >= 0.9 at the shipped config.
+        """The committed floors: recall@k >= 0.9, worst query >= 0.75.
 
         Asserted unconditionally — small mode relaxes only timings.
         """
-        entry = default_entry(payload)
         print(
-            f"\nANN operating point ({entry['name']}) at N={payload['n']}: "
-            f"recall={entry['recall_mean']:.3f} (min {entry['recall_min']:.2f}), "
-            f"candidate fraction {entry['candidate_fraction']:.3f}, "
-            f"speedup {entry['speedup']:.2f}x, "
-            f"calibrated {entry['calibrated_recall']:.3f}"
+            f"\nANN operating point at N={payload['n']}: "
+            f"recall={payload['recall_mean']:.3f} (min {payload['recall_min']:.2f}), "
+            f"candidate fraction {payload['candidate_fraction']:.3f} "
+            f"(budget {payload['row_budget']} rows), "
+            f"speedup {payload['speedup']:.2f}x, "
+            f"calibrated {payload['calibrated_recall']:.3f}"
         )
-        assert entry["recall_mean"] >= RECALL_FLOOR
+        assert payload["recall_mean"] >= RECALL_FLOOR
+        assert payload["recall_min"] >= RECALL_MIN_FLOOR
 
     def test_speedup_contract_at_operating_point(self, payload):
-        """Acceptance: defeatist search >= 2x over the exact scan at
-        recall >= 0.9, full scale."""
-        entry = default_entry(payload)
+        """Acceptance: the approximate search >= 2x over the exact scan
+        at recall >= 0.9, full scale."""
         if SMALL:
             pytest.skip("small smoke run: timings dominated by call overhead")
-        assert entry["speedup"] >= SPEEDUP_FLOOR
-        assert entry["recall_mean"] >= RECALL_FLOOR
+        assert payload["speedup"] >= SPEEDUP_FLOOR
+        assert payload["recall_mean"] >= RECALL_FLOOR

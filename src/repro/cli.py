@@ -32,9 +32,9 @@ Subcommands:
 * ``figure`` — regenerate any of the paper's tables/figures by id
   (``fig5`` ... ``fig19``, ``table2``, ``table3``, ``headline``),
   optionally exporting CSV.
-* ``bench`` — run the ANN tier's recall-vs-speedup sweep (the
-  empirical contract behind ``serve --ann``) and print the per-config
-  table; ``--small`` uses the CI scale.
+* ``bench`` — measure the ANN tier's recall and speedup at its one
+  operating point (the empirical contract behind ``serve --ann``);
+  ``--small`` uses the CI scale.
 * ``export-collection`` — write a procedural collection to disk as a
   PPM directory tree (one subdirectory per category), loadable back via
   :func:`repro.datasets.load_directory_collection`.
@@ -356,7 +356,6 @@ def cmd_chaos(args) -> int:
 
     from .faults import FaultPlan, activate_faults
     from .faults.plans import BUILTIN_PLAN_NAMES, builtin_plan
-    from .index import SpillTreeConfig
     from .retrieval import SimulatedUser
     from .service import RetrievalService
 
@@ -413,12 +412,7 @@ def cmd_chaos(args) -> int:
                 checkpoint_dir=checkpoint_dir,
                 cache_size=args.cache_size,
                 batching=args.batching,
-                # Chaos collections are small, so force real splits: a
-                # single-leaf tree would make every descent one node and
-                # starve the index.descend site.
-                ann=SpillTreeConfig(leaf_capacity=64, max_leaves=4)
-                if args.ann
-                else None,
+                ann=args.ann,
                 tracer=trace_with,
             )
             context = (
@@ -509,12 +503,12 @@ def cmd_chaos(args) -> int:
             exact_pages += 1
             comparable = True
         elif record["quality"] == "approximate" and "ann_fallback" not in reasons:
-            # Defeatist descent is deterministic, so a healthy ANN page
+            # The budgeted search is deterministic, so a healthy ANN page
             # must match the fault-free twin's ANN page byte for byte.
             approximate_pages += 1
             comparable = True
         elif "ann_fallback" in reasons:
-            # The tier failed mid-descent and the exact scan rescued the
+            # The tier failed mid-search and the exact scan rescued the
             # request — announced on the page, but its content differs
             # from the twin's ANN page, so the session's feedback
             # trajectory diverges from here on.
@@ -591,6 +585,14 @@ def cmd_chaos(args) -> int:
                 file=sys.stderr,
             )
             return 1
+    if not fire_stats["total_fires"]:
+        # A replay whose plan never reaches its fault sites exercises no
+        # recovery path, so it proves nothing about the contract.
+        print(
+            "VIOLATION: no fault fired; the replay never reached the plan's sites",
+            file=sys.stderr,
+        )
+        return 1
     if violations:
         print(
             f"VIOLATION: {len(violations)} comparable page(s) differ from the "
@@ -759,38 +761,24 @@ def cmd_figure(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run the ANN recall-vs-speedup sweep and print the contract table."""
+    """Measure the ANN tier's recall and speedup at its operating point."""
     import json
 
-    from .experiments.ann import DEFAULT_RULE, DEFAULT_SPILL, run_sweep, sweep_config
+    from .experiments.ann import AnnSweepConfig, run_sweep
 
-    config = sweep_config(small=args.small)
+    config = AnnSweepConfig.small() if args.small else AnnSweepConfig()
     print(
-        f"sweeping {len(config.rules)} rule(s) x {len(config.spills)} spill "
-        f"fraction(s) over {config.n} rows ({config.dimensions}-d, "
+        f"measuring the ANN tier over {config.n} rows ({config.dimensions}-d, "
         f"scheme={config.scheme!r}) ..."
     )
     payload = run_sweep(config)
     print(
-        f"\n{'config':>16s}  {'recall':>6s}  {'min':>5s}  {'calib':>6s}  "
-        f"{'candfrac':>8s}  {'speedup':>7s}"
-    )
-    for entry in payload["configs"]:
-        marker = " <- default" if entry["name"] == payload["default"] else ""
-        print(
-            f"{entry['name']:>16s}  {entry['recall_mean']:>6.3f}  "
-            f"{entry['recall_min']:>5.2f}  {entry['calibrated_recall']:>6.3f}  "
-            f"{entry['candidate_fraction']:>8.3f}  "
-            f"{entry['speedup']:>6.2f}x{marker}"
-        )
-    default = next(
-        entry for entry in payload["configs"] if entry["name"] == payload["default"]
-    )
-    print(
-        f"\noperating point ({DEFAULT_RULE}, spill={DEFAULT_SPILL:g}): "
-        f"recall {default['recall_mean']:.3f} at {default['speedup']:.2f}x "
-        f"over the exact scan; contract floor is 0.9 "
-        f"(benchmarks/baselines/ann.json)"
+        f"recall {payload['recall_mean']:.3f} (worst query "
+        f"{payload['recall_min']:.2f}, calibrated {payload['calibrated_recall']:.3f}) "
+        f"scoring {payload['candidate_fraction']:.3f} of the rows "
+        f"(budget {payload['row_budget']} of {payload['n']}), "
+        f"{payload['speedup']:.2f}x over the exact scan; contract floors are "
+        f"0.9 mean and 0.75 worst query (benchmarks/baselines/ann.json)"
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -903,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--ann",
         action="store_true",
-        help="build the spill-tree approximate tier: clients opt in per "
+        help="build the approximate tier (a calibrated, row-budgeted "
+        "search over the hybrid tree): clients opt in per "
         "request (?approximate=1), and load-shed batching traffic is "
         "served from it instead of waiting out the queue",
     )
@@ -1002,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--ann",
         action="store_true",
-        help="serve both replays from the spill-tree ANN tier (approximate "
+        help="serve both replays from the tree's ANN tier (approximate "
         "pages with estimated recall), arming the index.descend fault site",
     )
     chaos.add_argument(
@@ -1064,14 +1053,14 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=cmd_figure)
 
     bench = subparsers.add_parser(
-        "bench", help="run the ANN recall-vs-speedup sweep"
+        "bench", help="measure the ANN tier's recall and speedup"
     )
     bench.add_argument(
         "--small",
         action="store_true",
         help="CI scale (~2.4k rows) instead of the full 40k-row workload",
     )
-    bench.add_argument("--out", help="write the sweep payload as JSON here")
+    bench.add_argument("--out", help="write the result payload as JSON here")
     bench.set_defaults(func=cmd_bench)
 
     export = subparsers.add_parser(

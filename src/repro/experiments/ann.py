@@ -1,59 +1,55 @@
-"""Recall-versus-speedup sweep for the ANN tier — the empirical contract.
+"""Recall and speedup of the ANN tier — the empirical contract.
 
-The spill tree's defeatist search trades exactness for cost, and the
+The tree's row-budgeted search trades exactness for cost, and the
 trade is only defensible if it is *measured*: this module owns the
 workload that measures it.  A clustered Gaussian collection is queried
 through the full Qcluster feedback protocol (``scheme="inverse"``, the
 covariance regime the serving stack defaults to for pruning), so the
-swept queries are the real production shape — adaptive multi-cluster
-disjunctive queries with Mahalanobis-stretched contours, not synthetic
-single points.  Every configuration in the sweep is scored on
+measured queries are the real production shape — adaptive
+multi-cluster disjunctive queries with Mahalanobis-stretched contours,
+not synthetic single points.  The one operating point the service
+ships (:class:`~repro.index.tree.HybridTree` with its calibrated row
+budget) is scored on
 
 * **recall@k** against the exact compiled shard scan (mean and worst
   query), the quantity the committed contract floors;
 * **speedup** over that same exact scan (wall-clock, best-of-repeats);
-* **candidate fraction** — the share of the database the reached
-  leaves actually scored, the scale-free cost proxy CI can gate when
-  timings cannot be trusted across runners.
+* **candidate fraction** — the share of the database the read leaves
+  actually scored, the scale-free cost proxy CI can gate when timings
+  cannot be trusted across runners;
+* the tree's own build-time ``calibrated_recall``.
 
 ``benchmarks/test_ann_recall.py`` runs :func:`run_sweep` at full scale
 and writes ``BENCH_ann.json``; ``compare_bench.py --suite ann`` runs
 the CI-scale config against the committed floors in
 ``benchmarks/baselines/ann.json``; ``python -m repro.cli bench`` is the
-interactive front-end.  One sweep, three consumers.
+interactive front-end.  One measurement, three consumers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.config import QclusterConfig
 from ..core.distance import DisjunctiveQuery
-from ..index.tree import SpillTree, SpillTreeConfig
+from ..index.tree import HybridTree
 from ..parallel import scan_shard_topk
 from ..retrieval import FeatureDatabase, QclusterMethod, SimulatedUser
 
-__all__ = ["AnnSweepConfig", "run_sweep", "DEFAULT_RULE", "DEFAULT_SPILL"]
-
-#: The operating point the service ships with (``SpillTreeConfig()``)
-#: and the committed baseline floors: every sweep must include it.
-DEFAULT_RULE = "kd"
-DEFAULT_SPILL = 0.3
+__all__ = ["AnnSweepConfig", "run_sweep"]
 
 
 @dataclass(frozen=True)
 class AnnSweepConfig:
-    """Workload and sweep knobs.
+    """Workload knobs.
 
     The default is the full-scale contract workload (40k rows in 40
     categories, 16-d features, 6 query seeds x 3 feedback rounds);
-    :meth:`small` is the CI/smoke scale, shrunk but with leaf capacity
-    and ``max_leaves`` re-tuned so the descent still prunes — a tree
-    whose leaves swallow the collection would measure nothing.
+    :meth:`small` is the CI/smoke scale.
     """
 
     n_categories: int = 40
@@ -64,36 +60,21 @@ class AnnSweepConfig:
     k: int = 20
     seed: int = 7
     scheme: str = "inverse"
-    spills: Tuple[float, ...] = (0.0, 0.15, DEFAULT_SPILL)
-    rules: Tuple[str, ...] = (DEFAULT_RULE, "rp")
-    max_leaves: int = 12
-    leaf_capacity: Optional[int] = None  # heuristic: 1024 at 16 dims
     repeats: int = 3
 
     @classmethod
     def small(cls) -> "AnnSweepConfig":
-        """CI scale: ~2.4k rows, small leaves so real splits happen."""
+        """CI scale: ~2.4k rows."""
         return cls(
             n_categories=12,
             points_per_category=200,
             n_query_seeds=4,
-            leaf_capacity=128,
-            max_leaves=8,
             repeats=2,
         )
 
     @property
     def n(self) -> int:
         return self.n_categories * self.points_per_category
-
-    def tree_config(self, rule: str, spill: float) -> SpillTreeConfig:
-        return SpillTreeConfig(
-            rule=rule,
-            spill=spill,
-            leaf_capacity=self.leaf_capacity,
-            max_leaves=self.max_leaves,
-            seed=0,
-        )
 
 
 def build_database(config: AnnSweepConfig) -> FeatureDatabase:
@@ -150,13 +131,11 @@ def _best_of(callable_, repeats: int) -> float:
 
 
 def run_sweep(config: Optional[AnnSweepConfig] = None) -> Dict:
-    """Sweep ``rules x spills``; returns the full result payload.
+    """Measure the shipped operating point; returns the result payload.
 
-    The payload's ``configs`` list holds one entry per swept
-    configuration — recall (mean / worst query), speedup over the
-    exact compiled scan, candidate fraction, node accesses and the
-    tree's own build-time ``calibrated_recall`` — and ``default``
-    names the entry matching the shipped operating point.
+    Recall (mean / worst query) against the exact compiled scan, the
+    speedup over it, the candidate fraction, leaves read per query and
+    the tree's calibrated budget and recall.
     """
     config = config if config is not None else AnnSweepConfig()
     database = build_database(config)
@@ -173,49 +152,21 @@ def run_sweep(config: Optional[AnnSweepConfig] = None) -> Dict:
     exact_run()  # warm-up: kernel compile + scan plans
     exact_seconds = _best_of(exact_run, config.repeats)
 
-    entries = []
-    default_name = None
-    for rule in config.rules:
-        for spill in config.spills:
-            tree = SpillTree(vectors, config.tree_config(rule, spill))
-            # Scored once up front: these results feed the recall and
-            # cost metrics *and* warm the kernels before timing.
-            results = [tree.defeatist_search(query, k) for query in queries]
+    tree = HybridTree(vectors)
+    tree.calibrate()
+    # Scored once up front: these results feed the recall and cost
+    # metrics *and* warm the kernels before timing.
+    results = [tree.approximate_knn(query, k) for query in queries]
 
-            def ann_run(tree=tree):
-                for query in queries:
-                    tree.defeatist_search(query, k)
+    def ann_run():
+        for query in queries:
+            tree.approximate_knn(query, k)
 
-            ann_seconds = _best_of(ann_run, config.repeats)
-            recalls = [
-                len(set(map(int, result.indices)) & set(map(int, true_ids))) / k
-                for result, true_ids in zip(results, truth)
-            ]
-            name = f"{rule}:spill={spill:g}"
-            if rule == DEFAULT_RULE and spill == DEFAULT_SPILL:
-                default_name = name
-            entries.append(
-                {
-                    "name": name,
-                    "rule": rule,
-                    "spill": spill,
-                    "max_leaves": config.max_leaves,
-                    "leaf_capacity": tree.leaf_capacity,
-                    "n_leaves": tree.stats()["n_leaves"],
-                    "recall_mean": float(np.mean(recalls)),
-                    "recall_min": float(min(recalls)),
-                    "candidate_fraction": float(
-                        np.mean([r.n_candidates for r in results]) / config.n
-                    ),
-                    "node_accesses_per_query": float(
-                        np.mean([r.cost.node_accesses for r in results])
-                    ),
-                    "calibrated_recall": tree.calibrated_recall,
-                    "ann_seconds": ann_seconds,
-                    "speedup": exact_seconds / ann_seconds,
-                }
-            )
-
+    ann_seconds = _best_of(ann_run, config.repeats)
+    recalls = [
+        len(set(map(int, result.indices)) & set(map(int, true_ids))) / k
+        for result, true_ids in zip(results, truth)
+    ]
     return {
         "n": config.n,
         "p": config.dimensions,
@@ -224,17 +175,20 @@ def run_sweep(config: Optional[AnnSweepConfig] = None) -> Dict:
         "n_queries": len(queries),
         "repeats": config.repeats,
         "exact_seconds": exact_seconds,
-        "default": default_name,
-        "configs": entries,
+        **tree.stats(),
+        "recall_mean": float(np.mean(recalls)),
+        "recall_min": float(min(recalls)),
+        "candidate_fraction": float(
+            np.mean([r.cost.distance_evaluations for r in results]) / config.n
+        ),
+        "node_accesses_per_query": float(
+            np.mean([r.cost.node_accesses for r in results])
+        ),
+        "ann_seconds": ann_seconds,
+        "speedup": exact_seconds / ann_seconds,
     }
 
 
 def small_sweep() -> Dict:
-    """The CI-scale sweep (used by ``compare_bench.py --suite ann``)."""
+    """The CI-scale measurement (used by ``compare_bench.py --suite ann``)."""
     return run_sweep(AnnSweepConfig.small())
-
-
-def sweep_config(small: bool = False, **overrides) -> AnnSweepConfig:
-    """Convenience for the CLI: base scale plus keyword overrides."""
-    base = AnnSweepConfig.small() if small else AnnSweepConfig()
-    return replace(base, **overrides) if overrides else base

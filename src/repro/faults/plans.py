@@ -27,10 +27,10 @@ Seeded scenarios, each aimed at a distinct recovery mechanism:
   requests queueing behind a stalled batch.  Replay with
   batching on (``chaos --plan batch-abort --batching``) to arm the
   ``batch.execute`` site.
-* ``ann-descend`` — spill-tree node reads fail mid-descent; exercised
-  paths: the ANN tier's rescue by the exact sharded scan (pages
-  stamped ``ann_fallback``, never an error), with surviving descents
-  staying deterministic.  Replay with the tier on (``chaos --plan
+* ``ann-descend`` — leaf reads of the tree's approximate search fail
+  mid-search; exercised paths: the ANN tier's rescue by the exact
+  sharded scan (pages stamped ``ann_fallback``, never an error), with
+  surviving searches staying deterministic.  Replay with the tier on (``chaos --plan
   ann-descend --ann``) to arm the ``index.descend`` site.
 
 Plans are plain :class:`~repro.faults.plan.FaultPlan` values — replay
@@ -140,25 +140,25 @@ def _batch_abort(seed: int) -> Tuple[FaultSpec, ...]:
 
 def _ann_descend(seed: int) -> Tuple[FaultSpec, ...]:
     return (
-        # A good fraction of defeatist descents hit a bad node read and
-        # abort; the engine must re-serve each one through the exact
+        # A good fraction of approximate searches hit a bad leaf read
+        # and abort; the engine must re-serve each one through the exact
         # sharded scan, stamped ``ann_fallback`` — announced rescue,
         # never a failed or silently-exact page.
-        # Per *node* probability: a defeatist request touches dozens of
-        # nodes across its representatives, so this yields a healthy
+        # Per *leaf* probability: a request reads a handful of leaves
+        # (small collections: one or two), so this yields a healthy
         # minority of per-request aborts, not a blanket outage.
         FaultSpec(
             "index.descend",
             "error",
-            probability=0.04,
-            message="spill node read failed",
+            probability=0.1,
+            message="leaf read failed",
         ),
-        # Slow node reads on the surviving descents: latency only, so
-        # the reached leaves — and therefore the pages — are unchanged.
+        # Slow leaf reads on the surviving searches: latency only, so
+        # the leaves read — and therefore the pages — are unchanged.
         FaultSpec(
             "index.descend",
             "latency",
-            probability=0.02,
+            probability=0.05,
             latency_s=0.002,
             max_fires=16,
         ),

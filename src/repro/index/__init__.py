@@ -1,9 +1,9 @@
-"""Indexing substrate: linear scan, the array-backed exact tree and
-spill/RP-tree approximate tier, and cached multipoint search."""
+"""Indexing substrate: linear scan, the array-backed hybrid tree (exact
+index and approximate tier), and cached multipoint search."""
 
 from .linear import KnnResult, LinearScan, SearchCost, page_capacity_for
 from .multipoint import CentroidSearcher, MultipointSearcher, SessionCostLog
-from .tree import DefeatistResult, HybridTree, SpillTree, SpillTreeConfig
+from .tree import HybridTree
 
 __all__ = [
     "HybridTree",
@@ -14,7 +14,4 @@ __all__ = [
     "CentroidSearcher",
     "MultipointSearcher",
     "SessionCostLog",
-    "SpillTree",
-    "SpillTreeConfig",
-    "DefeatistResult",
 ]

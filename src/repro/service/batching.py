@@ -41,9 +41,9 @@ heavy load, neither of which drops a request:
   admission control at the socket);
 * *load shedding* — past ``shed_threshold`` queued requests, new
   arrivals never enqueue: the ``shed_to`` handler (the engine wires
-  its spill-tree ANN tier, so shedding requires one) serves them
-  immediately on the submitter's own thread by the defeatist
-  approximate search, page stamped
+  its ANN tier, so shedding requires one) serves them immediately on
+  the submitter's own thread by the tree's row-budgeted approximate
+  search, page stamped
   ``ResultQuality(approximate, estimated_recall=...)`` — announced,
   never dropped.
 

@@ -60,7 +60,7 @@ from ..datasets.matrix import assert_scan_ready
 from ..faults import fault_point, register_site
 from ..index.linear import page_capacity_for
 from ..index.multipoint import MultipointSearcher
-from ..index.tree import HybridTree, SpillTree, SpillTreeConfig
+from ..index.tree import HybridTree
 from ..obs import (
     NULL_TRACER,
     SLOTracker,
@@ -163,11 +163,11 @@ class RetrievalService:
             burn rates; one with the default objectives is built when
             omitted (SLO accounting is never sampled — an SLO computed
             over a sample is not an SLO).
-        ann: build the approximate tier — a
-            :class:`~repro.index.tree.SpillTree` searched defeatist
-            (no backtracking) over the reached leaves only.  ``True``
-            uses the default :class:`~repro.index.tree.SpillTreeConfig`
-            (the committed recall contract), or pass a config directly.
+        ann: build the approximate tier — a row-budgeted search over
+            the lowest-bound leaves of a :class:`HybridTree`
+            (:meth:`~repro.index.tree.HybridTree.approximate_knn`),
+            whose budget the tree calibrates once at build time.  With
+            ``use_index`` too, both tiers share one tree.
             Exact search stays the default: the tier serves only
             requests that ask for it (``approximate=True`` on
             :meth:`query` / :meth:`feedback`) and batching traffic shed
@@ -197,7 +197,7 @@ class RetrievalService:
         tracer=None,
         batching: Union[bool, BatchingConfig, None] = None,
         slo: Optional[SLOTracker] = None,
-        ann: Union[bool, SpillTreeConfig, None] = None,
+        ann: bool = False,
     ) -> None:
         if scan_backend not in ("threads", "processes"):
             raise ValueError(
@@ -266,13 +266,13 @@ class RetrievalService:
         )
         self.cache = ResultCache(cache_size)
         self._method_factory = method_factory
-        self._tree = HybridTree(self.vectors) if use_index else None
-        # The ANN tier shares the exact paths' feature matrix (a
-        # store-backed service materializes it once, same as the index).
-        self._spill: Optional[SpillTree] = None
-        if ann:
-            spill_config = ann if isinstance(ann, SpillTreeConfig) else None
-            self._spill = SpillTree(self.vectors, spill_config)
+        # One tree serves the index path and the ANN tier (a
+        # store-backed service materializes the matrix once for it).
+        tree = HybridTree(self.vectors) if use_index or ann else None
+        self._tree = tree if use_index else None
+        self._ann = tree if ann else None
+        if self._ann is not None:
+            self._ann.calibrate()
         if max_workers is None:
             max_workers = min(8, os.cpu_count() or 1)
         if self._feature_store is not None:
@@ -325,7 +325,7 @@ class RetrievalService:
             self._batching = BatchingExecutor(
                 self._execute_batch,
                 fallback=self._batch_fallback,
-                shed_to=self._shed_to_ann if self._spill is not None else None,
+                shed_to=self._shed_to_ann if self._ann is not None else None,
                 config=config,
                 leaders=max_workers,
                 metrics=self.metrics,
@@ -388,9 +388,9 @@ class RetrievalService:
         return self._batching
 
     @property
-    def ann_tree(self) -> Optional[SpillTree]:
-        """The approximate tier's spill tree, or ``None`` without one."""
-        return self._spill
+    def ann_tree(self) -> Optional[HybridTree]:
+        """The approximate tier's calibrated tree, or ``None`` without one."""
+        return self._ann
 
     # ------------------------------------------------------------------
     # The service API
@@ -467,7 +467,7 @@ class RetrievalService:
                 ``approximate`` with its estimated recall.
         """
         k = self._clamp_k(k)
-        if approximate and self._spill is None:
+        if approximate and self._ann is None:
             raise ValueError("approximate serving requires the ANN tier (ann=True)")
         start = self._clock()
         with activate(self.tracer), self.tracer.span(
@@ -514,7 +514,7 @@ class RetrievalService:
                 (requires the service to have one).
         """
         k = self._clamp_k(k)
-        if approximate and self._spill is None:
+        if approximate and self._ann is None:
             raise ValueError("approximate serving requires the ANN tier (ann=True)")
         ids = [int(i) for i in relevant_ids]
         for image_id in ids:
@@ -598,8 +598,8 @@ class RetrievalService:
             snapshot["worker_pool"] = self._pool.stats()
         if self._batching is not None:
             snapshot["batching"] = self._batching.stats()
-        if self._spill is not None:
-            snapshot["ann"] = self._spill.stats()
+        if self._ann is not None:
+            snapshot["ann"] = self._ann.stats()
         snapshot["slo"] = self.slo.snapshot()
         return snapshot
 
@@ -712,9 +712,8 @@ class RetrievalService:
         if not combined:
             return EXACT_QUALITY
         if all(tag in _ANN_TAGS for tag in combined):
-            if "ann" in combined and self._spill is not None:
-                recall = self._spill.calibrated_recall
-            else:
+            recall = self._ann.calibrated_recall if self._ann is not None else None
+            if "ann" not in combined or recall is None:
                 recall = 1.0
             return ResultQuality.approximate(recall, *combined)
         return ResultQuality.degraded(*combined)
@@ -851,33 +850,33 @@ class RetrievalService:
     def _ann_scan(
         self, query: QueryLike, k: int, budget: Optional[DeadlineBudget] = None
     ):
-        """Top-``k`` from the spill tree's defeatist search.
+        """Top-``k`` from the tree's row-budgeted approximate search.
 
         Returns ``(ids, distances, reasons)`` like the exact scans.  A
-        healthy descent yields ``("ann",)``.  When the tier itself
-        fails (an injected ``index.descend`` fault, a broken node), the
+        healthy search yields ``("ann",)``.  When the tier itself
+        fails (an injected ``index.descend`` fault, a broken leaf), the
         request is re-served by the exact scan and tagged
         ``"ann_fallback"`` on top of whatever the rescue scan reports —
         the page content is then exact, but the stamp says the cheap
         tier misbehaved.
         """
-        assert self._spill is not None
+        assert self._ann is not None
         self._compile(query, budget)
         self.metrics.increment("ann_scans")
         start = self._clock()
         with self.tracer.span("scan", path="ann", k=k) as span:
             try:
-                result = self._spill.defeatist_search(query, k)
+                result = self._ann.approximate_knn(query, k)
             except Exception as error:
                 span.set("error", True)
                 self.metrics.increment("ann_fallbacks")
                 add_event("ann_fallback", error=repr(error))
                 ids, distances, reasons = self._scan([query], [k], budget)[0]
                 return ids, distances, reasons + ("ann_fallback",)
-            span.set("candidates", result.n_candidates)
+            span.set("candidates", result.cost.distance_evaluations)
         self.metrics.observe("ann_search", self._clock() - start)
         self.metrics.increment("ann_node_accesses", result.cost.node_accesses)
-        self.metrics.increment("ann_candidates", result.n_candidates)
+        self.metrics.increment("ann_candidates", result.cost.distance_evaluations)
         if result.cost.candidates_pruned:
             self.metrics.increment(
                 "candidates_pruned", result.cost.candidates_pruned

@@ -46,7 +46,9 @@ loop never blocks, and backpressure composes: socket accept → admission
 semaphore → batching executor queue → micro-batch.
 
 A request that cannot be framed (a bad ``Content-Length``, an
-over-long line) is a 400 that closes the connection.
+over-long line) is a 400 that closes the connection; a declared body
+past ``_MAX_BODY_BYTES`` is a 413 that closes it the same way, since
+the unread body would otherwise be parsed as the next request.
 
 Pages serialize losslessly: JSON float round-trips are exact for IEEE
 doubles, so a page read over HTTP compares bit-for-bit with the same
@@ -82,6 +84,12 @@ from .sessions import SessionNotFound
 __all__ = ["RetrievalServer", "closed_loop_load"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _BodyTooLarge(ValueError):
+    """A declared body past ``_MAX_BODY_BYTES``: answered 413, then closed."""
+
+
 #: Recent error payloads kept for the /stats "server" section.
 _ERROR_RING = 32
 _REASON = {
@@ -281,8 +289,12 @@ class RetrievalServer:
                     request = await self._read_request(reader)
                 except ValueError as error:
                     # Unframeable (a bad Content-Length, a line past the
-                    # stream limit): where the next request starts is unknown.
-                    await self._write_response(writer, 400, {"error": str(error)}, keep_alive=False)
+                    # stream limit, an unread oversized body): where the
+                    # next request starts is unknown.
+                    status = 413 if isinstance(error, _BodyTooLarge) else 400
+                    await self._write_response(
+                        writer, status, {"error": str(error)}, keep_alive=False
+                    )
                     break
                 if request is None:
                     break
@@ -345,7 +357,7 @@ class RetrievalServer:
             raise ValueError(f"malformed Content-Length {raw_length[:32]!r}")
         length = int(raw_length)
         if length > _MAX_BODY_BYTES:
-            return method, target, headers, b"__too_large__"
+            raise _BodyTooLarge("request body too large")
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
@@ -427,12 +439,7 @@ class RetrievalServer:
             path = [part for part in split.path.split("/") if part]
             query = {key: values[-1] for key, values in parse_qs(split.query).items()}
             route_name = "/" + "/".join(path)
-            if body == b"__too_large__":
-                status, payload = 413, {"error": "request body too large"}
-            else:
-                status, payload = await self._route(
-                    method, path, query, headers, body, call
-                )
+            status, payload = await self._route(method, path, query, headers, body, call)
         except SessionNotFound as error:
             status, payload = 404, {"error": str(error)}
         except (ValueError, IndexError, KeyError, json.JSONDecodeError) as error:

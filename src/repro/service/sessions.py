@@ -79,6 +79,20 @@ _SITE_CHECKPOINT_RESTORE = register_site(
 )
 
 
+def _plain_name(session_id: str) -> bool:
+    """Whether ``session_id`` is one plain file-name component.
+
+    Checkpoints are named after their session, so an id holding a path
+    separator or a NUL, an empty id, ``.`` or ``..`` could name a file
+    outside ``checkpoint_dir``.
+    """
+    return (
+        isinstance(session_id, str)
+        and session_id not in ("", ".", "..")
+        and not any(character in session_id for character in "/\\\0")
+    )
+
+
 class SessionNotFound(KeyError):
     """The session id is unknown, expired without a checkpoint, or closed."""
 
@@ -233,7 +247,10 @@ class SessionStore:
     # ------------------------------------------------------------------
 
     def put(self, session: ManagedSession) -> None:
-        """Insert a freshly created session (evicting LRU on overflow)."""
+        """Insert a freshly created session (evicting LRU on overflow);
+        ``ValueError`` unless its id is a plain name."""
+        if not _plain_name(session.session_id):
+            raise ValueError(f"session id {session.session_id!r} must be a plain name")
         with self._lock:
             now = self._clock()
             session.created = now
@@ -397,7 +414,8 @@ class SessionStore:
                 text = fault_point(
                     _SITE_CHECKPOINT_SAVE, key=session.session_id, payload=text
                 )
-                path = self.checkpoint_dir / f"{session.session_id}.json"
+                path = self._checkpoint_file(session.session_id)
+                assert path is not None  # put() admits plain names only
                 path.write_text(text)
             except Exception:
                 # A failed durable write must not lose feedback state:
@@ -431,11 +449,19 @@ class SessionStore:
             self._evict(session, reason="ttl")
         return len(expired)
 
-    def _checkpoint_path(self, session_id: str) -> Optional[Path]:
-        if self.checkpoint_dir is None:
+    def _checkpoint_file(self, session_id: str) -> Optional[Path]:
+        """``<checkpoint_dir>/<session_id>.json``, the one place a
+        checkpoint path is built; ``None`` without a directory or for an
+        id that is not a plain name (see :func:`_plain_name`)."""
+        if self.checkpoint_dir is None or not _plain_name(session_id):
             return None
-        path = self.checkpoint_dir / f"{session_id}.json"
-        return path if path.exists() else None
+        return self.checkpoint_dir / f"{session_id}.json"
+
+    def _checkpoint_path(self, session_id: str) -> Optional[Path]:
+        """The existing checkpoint file of ``session_id``, or ``None``;
+        an id that cannot name one never reaches the file system."""
+        path = self._checkpoint_file(session_id)
+        return path if path is not None and path.exists() else None
 
     def _quarantine(self, path: Path, session_id: str, action: str) -> None:
         """Move a damaged checkpoint aside (``<id>.json.corrupt``).

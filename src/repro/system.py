@@ -41,11 +41,13 @@ class ResultQuality:
     the session's state would produce (recovery — retries,
     fallback scans — may have happened, but it succeeded completely).
     ``approximate`` means the page was deliberately served by the
-    cheap no-backtrack ANN tier (or the session's feedback trajectory
+    cheap row-budgeted ANN tier (or the session's feedback trajectory
     has been shaped by such a page): the ranking is exact *over the
-    candidates the tier reached*, and ``estimated_recall`` states the
-    tier's calibrated recall@k against the exact scan.  Approximation
-    is an announced trade, never a silent one.
+    rows the tier scored*, and ``estimated_recall`` states the tier's
+    calibrated recall — its *mean* over the tree's build-time
+    self-probes, not a bound on this page (a hard query can fall
+    below it).  Approximation is an announced trade, never a silent
+    one.
     ``degraded`` means coverage or state was *lost* and names the causes:
 
     * ``"shard_failed"`` — one or more shards were dropped after their
@@ -58,9 +60,10 @@ class ResultQuality:
 
     Approximate pages carry their own reason tags:
 
-    * ``"ann"`` — the page was ranked by the defeatist spill/RP-tree
-      search over the reached leaves only.
-    * ``"ann_fallback"`` — the ANN tier itself failed mid-descent and
+    * ``"ann"`` — the page was ranked by the hybrid tree's approximate
+      search over the rows of the lowest-bound leaves, up to the tree's
+      calibrated row budget.
+    * ``"ann_fallback"`` — the ANN tier itself failed mid-search and
       the request was re-served by the *exact* scan; the page content
       is exact, but it is stamped approximate (a conservative claim is
       never a lie) so the caller sees the tier misbehaving.
@@ -72,8 +75,9 @@ class ResultQuality:
     Attributes:
         level: ``"exact"``, ``"approximate"`` or ``"degraded"``.
         reasons: sorted, de-duplicated causes (empty iff exact).
-        estimated_recall: calibrated recall@k estimate in ``[0, 1]``;
-            required for ``approximate``, absent otherwise.
+        estimated_recall: the tier's calibrated mean recall in
+            ``[0, 1]`` (not a per-page bound); required for
+            ``approximate``, absent otherwise.
     """
 
     level: str = "exact"

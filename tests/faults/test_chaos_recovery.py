@@ -46,12 +46,10 @@ def run_workload(
     With ``batching`` every ranking routes through the batching
     executor (arming the ``batch.execute`` site); the sequential
     workload yields micro-batches of one, which still traverse the
-    full batch path.  With ``ann`` the service builds a spill tree and
-    every request asks for the approximate tier (arming the
-    ``index.descend`` site); small leaves so the 120-row database
-    actually splits.
+    full batch path.  With ``ann`` the service builds the tree's
+    approximate tier and every request asks for it (arming the
+    ``index.descend`` site, once per leaf a search reads).
     """
-    from repro.index.tree import SpillTreeConfig
     from repro.store import FeatureStore
 
     rng = np.random.default_rng(workload_seed)
@@ -69,7 +67,7 @@ def run_workload(
             checkpoint_dir=checkpoint_dir,
             cache_size=32,
             batching=batching,
-            ann=SpillTreeConfig(leaf_capacity=16, max_leaves=4) if ann else None,
+            ann=ann,
         )
         context = (
             activate_faults(fault_plan) if fault_plan is not None else nullcontext()
@@ -117,11 +115,11 @@ def run_workload(
 def check_contract(baseline, faulted):
     """Every faulted page: byte-identical, explicitly degraded, or errored.
 
-    Approximate pages obey the same contract: defeatist descent is
+    Approximate pages obey the same contract: the budgeted search is
     deterministic, so a healthy ANN page must match its fault-free ANN
     twin byte for byte, while an ``ann_fallback`` rescue is announced
-    on the page and — because the exact scan's content differs from
-    the twin's defeatist page — diverges the session from there on.
+    on the page and — because the exact scan's content can differ from
+    the twin's approximate page — diverges the session from there on.
     """
     assert not any("error" in record for record in baseline)
     by_key = {record["key"]: record for record in baseline}
@@ -177,7 +175,7 @@ def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
         build_store(database, store_path, n_shards=4)
     # batch-abort targets batch.execute, so both runs must route
     # rankings through the batching executor; ann-descend targets
-    # index.descend, so both runs must serve from the spill tree.
+    # index.descend, so both runs must serve from the ANN tier.
     batching = plan_name == "batch-abort"
     ann = plan_name == "ann-descend"
     baseline, _ = run_workload(
@@ -192,7 +190,7 @@ def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
         counts["exact"] + counts["approximate"] > 0
     ), "no page survived to be byte-checked"
     if plan_name == "ann-descend":
-        assert counts["fallback"] > 0, "no descent failed: plan miswired"
+        assert counts["fallback"] > 0, "no search failed: plan miswired"
     if plan_name == "torn-block":
         degraded_reasons = {
             reason

@@ -4,10 +4,12 @@
 pages, cost counters and node caches bit for bit — over diagonal,
 inverse and mixed Qcluster-style queries and the baselines' power-mean
 queries, at leaf capacities 1–64 with duplicate rows — and its pages
-must equal the exact scan's under the shared ``(distance, id)`` order.  :class:`~repro.index.tree.SpillTree` must reproduce the
-reference leaf membership, split records, defeatist results and
-calibrated recall under both split rules.  Every node's vectorised
-bound must also stay a sound lower bound.
+must equal the exact scan's under the shared ``(distance, id)`` order.
+The row-budgeted approximate search must equal the exact top-k over
+exactly the rows of the leaves it read — a prefix of the leaf bound
+order that stops at the first leaf reaching the budget — and a budget
+of every row must return the exact scan's page.  Every node's
+vectorised bound must also stay a sound lower bound.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from hypothesis import strategies as hst
 from repro.baselines.base import PowerMeanQuery
 from repro.core.distance import DisjunctiveQuery, QueryPoint
 from repro.core.progressive import exact_top_k
-from repro.index.tree import HybridTree, SpillTree, SpillTreeConfig
+from repro.index.tree import HybridTree
+from repro.parallel import scan_shard_topk
 
-from .tree_reference import ReferenceHybridTree, ReferenceSpillTree
+from .tree_reference import ReferenceHybridTree
 
 DIMENSIONS = (2, 3, 8, 16, 20)
 
@@ -87,28 +90,6 @@ def exact_cases(draw):
         kind=draw(hst.sampled_from(["diagonal", "inverse", "mixed", "power"])),
         g=draw(hst.integers(1, 5)),
         k=draw(hst.integers(1, 30)),
-    )
-
-
-@hst.composite
-def spill_cases(draw):
-    # Each child keeps a (1 + spill) / 2 share of its parent, so the
-    # node count grows like (n / leaf_capacity) ** 2.4 at spill 0.5:
-    # wide spills get wide leaves to keep the trees small.
-    spill = draw(hst.sampled_from([0.0, 0.1, 0.3, 0.5]))
-    return dict(
-        seed=draw(hst.integers(0, 2**32 - 1)),
-        n=draw(hst.integers(1, 200)),
-        p=draw(hst.sampled_from(DIMENSIONS)),
-        duplicate_share=draw(hst.sampled_from([0.0, 0.2, 0.6])),
-        quantize=draw(hst.booleans()),
-        config=SpillTreeConfig(
-            rule=draw(hst.sampled_from(["kd", "rp"])),
-            spill=spill,
-            leaf_capacity=draw(hst.integers(32 if spill > 0.3 else 1, 64)),
-            max_leaves=draw(hst.integers(1, 12)),
-            seed=draw(hst.integers(0, 1000)),
-        ),
     )
 
 
@@ -240,45 +221,71 @@ class TestExactScanAgreement:
         assert got.distances.tobytes() == distances[top].tobytes()
 
 
-class TestSpillTreeOracle:
-    @seed(18)
-    @given(spill_cases())
-    @settings(max_examples=80, deadline=None)
-    def test_leaves_descents_and_calibration_match(self, case):
+class TestApproximateSearch:
+    @seed(23)
+    @given(tie_cases(), hst.floats(0.0, 1.2))
+    @settings(max_examples=100, deadline=None)
+    def test_page_is_the_exact_top_k_of_the_leaves_read(self, case, share):
+        """Quantised rows score exactly, so the page must be
+        ``exact_top_k`` over the rows of the leaves read — the shortest
+        prefix of the bound order (ties by leaf order) whose rows reach
+        the budget — under the ``(distance, id)`` order."""
         rng = np.random.default_rng(case["seed"])
-        vectors = make_database(
-            rng, case["n"], case["p"], case["duplicate_share"], case["quantize"]
+        vectors, query = make_dyadic_case(
+            rng,
+            case["n"],
+            case["p"],
+            case["duplicate_share"],
+            case["kind"],
+            case["g"],
+            case["on_rows"],
         )
-        flat = SpillTree(vectors, case["config"])
-        reference = ReferenceSpillTree(vectors, case["config"])
-        assert flat.n_nodes == reference.n_nodes
-        for node_id, node in enumerate(reference.nodes()):
-            if node.is_leaf:
-                assert flat.left[node_id] == -1
-                np.testing.assert_array_equal(
-                    flat.rows[flat.start[node_id] : flat.stop[node_id]], node.indices
-                )
-                continue
-            assert flat.left[node_id] == node.left.node_id
-            assert flat.right[node_id] == node.right.node_id
-            if node.axis is None:
-                assert flat.axis[node_id] == -1
-                np.testing.assert_array_equal(flat.direction[node_id], node.direction)
-            else:
-                assert flat.axis[node_id] == node.axis
-            assert (flat.route[node_id], flat.low[node_id], flat.high[node_id]) == (
-                node.route,
-                node.low,
-                node.high,
-            )
-        assert flat.calibrated_recall == reference.calibrated_recall
-        for _ in range(3):
-            query = make_query(rng, vectors, "mixed", int(rng.integers(1, 4)))
-            got = flat.defeatist_search(query, 10)
-            indices, distances, visited = reference.defeatist_search(query, 10)
-            np.testing.assert_array_equal(got.indices, indices)
-            np.testing.assert_array_equal(got.distances, distances)
-            assert got.cost.node_accesses == visited
+        tree = HybridTree(vectors, leaf_capacity=case["leaf_capacity"])
+        tree.calibrate()
+        budget = tree.row_budget = max(1, int(share * case["n"]))
+        got = tree.approximate_knn(query, case["k"])
+
+        leaves = tree.leaves
+        boxes = tree.node_bounds(query)[leaves]
+        order = sorted(range(leaves.shape[0]), key=lambda i: (boxes[i], i))
+        read, rows = 0, []
+        for position in order:
+            leaf = leaves[position]
+            rows.extend(tree.rows[tree.start[leaf] : tree.stop[leaf]].tolist())
+            read += 1
+            if len(rows) >= budget:
+                break
+        assert got.cost.node_accesses == read
+        assert got.cost.distance_evaluations == len(rows)
+        assert got.cost.candidates_pruned == case["n"] - len(rows)
+        rows = np.array(rows)
+        distances = query.distances(vectors)[rows]
+        top = exact_top_k(distances, case["k"], tie_break=rows)
+        assert got.indices.tolist() == rows[top].tolist()
+        assert got.distances.tobytes() == distances[top].tobytes()
+
+    @seed(24)
+    @given(tie_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_a_budget_of_every_row_is_the_exact_scan(self, case):
+        rng = np.random.default_rng(case["seed"])
+        vectors, query = make_dyadic_case(
+            rng,
+            case["n"],
+            case["p"],
+            case["duplicate_share"],
+            case["kind"],
+            case["g"],
+            case["on_rows"],
+        )
+        tree = HybridTree(vectors, leaf_capacity=case["leaf_capacity"])
+        tree.calibrate()
+        tree.row_budget = case["n"]
+        got = tree.approximate_knn(query, case["k"])
+        ids, distances, _, _ = scan_shard_topk(query, vectors, 0, case["k"])
+        assert got.indices.tobytes() == ids.astype(got.indices.dtype).tobytes()
+        assert got.distances.tobytes() == distances.tobytes()
+        assert got.cost.candidates_pruned == 0
 
 
 class TestBoundSoundness:

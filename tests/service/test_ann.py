@@ -1,6 +1,7 @@
 """The service's ANN tier: honest approximation end to end.
 
-Covers the serving-stack contract around the spill tree: the exact
+Covers the serving-stack contract around the tree's row-budgeted
+search: the exact
 default stays byte-identical with the tier built, approximate pages
 are stamped ``ResultQuality(approximate, estimated_recall=...)`` and
 never silent, a mid-descent fault rescues through the exact scan as an
@@ -18,12 +19,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, activate_faults
-from repro.index.tree import SpillTreeConfig
 from repro.service import BatchingConfig, RetrievalService
-
-#: Small leaves so the 120-row test database actually splits and the
-#: defeatist descent is a real approximation, not a full scan.
-ANN_CONFIG = SpillTreeConfig(leaf_capacity=16, max_leaves=4)
 
 #: Shed at a queue depth of 2 (well below the backpressure bound).
 SHED_CONFIG = BatchingConfig(max_batch=1, max_pending=8, shed_threshold=2)
@@ -34,7 +30,7 @@ DESCEND_OUTAGE = FaultPlan(
 
 
 def ann_service(database, **kwargs):
-    return RetrievalService(database, k=10, ann=ANN_CONFIG, **kwargs)
+    return RetrievalService(database, k=10, ann=True, **kwargs)
 
 
 class TestExactDefault:
@@ -135,14 +131,44 @@ class TestApproximateServing:
             assert "ann" in later.quality.reasons
 
     def test_metrics_and_stats_surface(self, database):
+        """The 120-row 3-d fixture fits one 4 KB leaf, so the calibrated
+        budget is every row and each search reads that one leaf."""
         with ann_service(database) as service:
             session = service.create_session(3)
             service.query(session, approximate=True)
             snapshot = service.metrics_snapshot()
-            assert snapshot["counters"]["ann_scans"] == 1
-            assert snapshot["counters"]["results_approximate"] == 1
-            assert snapshot["ann"]["n_leaves"] > 1
-            assert snapshot["ann"]["calibrated_recall"] is not None
+            counters = snapshot["counters"]
+            assert counters["ann_scans"] == 1
+            assert counters["results_approximate"] == 1
+            assert counters["ann_node_accesses"] == 1
+            assert counters["ann_candidates"] == database.size
+            assert snapshot["ann"] == service.ann_tree.stats()
+            assert snapshot["ann"]["n_leaves"] == 1
+            assert snapshot["ann"]["row_budget"] == database.size
+            assert snapshot["ann"]["calibrated_recall"] == 1.0
+
+    def test_one_tree_serves_both_tiers(self, database):
+        with ann_service(database, use_index=True) as both:
+            assert both.ann_tree is both._tree
+        with ann_service(database, use_index=False) as ann_only:
+            assert ann_only._tree is None
+            assert ann_only.ann_tree.row_budget == database.size
+
+
+class TestBudgetedServing:
+    def test_the_tier_scores_its_budget_not_the_collection(self):
+        """On a collection of many leaves the calibrated budget is a
+        share of the rows, and each approximate page scores about that
+        many."""
+        vectors = np.random.default_rng(5).standard_normal((4000, 8))
+        with RetrievalService(vectors, k=10, ann=True, use_index=False) as service:
+            tree = service.ann_tree
+            assert tree.row_budget < 4000
+            session = service.create_session(3)
+            page = service.query(session, approximate=True)
+            scored = service.metrics_snapshot()["counters"]["ann_candidates"]
+            assert tree.row_budget <= scored < 4000
+            assert page.quality.estimated_recall == tree.calibrated_recall >= 0.97
 
 
 class TestFallback:

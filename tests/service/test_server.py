@@ -170,9 +170,11 @@ class TestErrorPaths:
         )
         response = conn.getresponse()
         assert response.status == 413
+        # The body is never read, so the server cannot tell where the
+        # next request starts: it closes the connection.
+        assert response.getheader("Connection") == "close"
         response.read()
-        # 413 short-circuits before the body read; the connection stays
-        # usable for the next (well-formed) request.
+        # The client reconnects for the next (well-formed) request.
         status, _ = call(conn, "GET", "/healthz")
         assert status == 200
 
@@ -478,13 +480,7 @@ class TestApproximateOverHTTP:
 
     @pytest.fixture()
     def ann_conn(self, database):
-        from repro.index.tree import SpillTreeConfig
-
-        with RetrievalService(
-            database,
-            k=10,
-            ann=SpillTreeConfig(leaf_capacity=16, max_leaves=4),
-        ) as service:
+        with RetrievalService(database, k=10, ann=True) as service:
             server = RetrievalServer(service, port=0, max_concurrent=4)
             host, port = server.start_in_background()
             connection = http.client.HTTPConnection(host, port, timeout=10)

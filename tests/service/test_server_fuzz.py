@@ -10,10 +10,13 @@ for any byte sequence a client sends is:
 * ``/healthz`` still answers afterwards.
 
 The named cases pin a malformed ``Content-Length`` (once a
-``ValueError`` out of the request reader) and a non-object JSON body
-(once a 500).  The seeded property test sends raw requests built from
-route templates, junk request lines, hostile headers and arbitrary
-bodies against a background server.
+``ValueError`` out of the request reader), a non-object JSON body
+(once a 500), an oversized body (once answered 413 on a connection
+kept alive, so its unread bytes were parsed as the next request) and
+a real body equal to the reader's old oversize sentinel (once a 413).
+The seeded property test sends raw requests built from route
+templates, junk request lines, hostile headers and arbitrary bodies
+against a background server.
 """
 
 from __future__ import annotations
@@ -111,6 +114,19 @@ class TestNamedCases:
         # A second, well-formed request on the same connection is never
         # read: the server cannot know where the first one ended.
         raw += request("GET", "/healthz")
+        assert statuses(exchange(server, raw)) == [400]
+        assert_healthy(server)
+
+    def test_oversized_body_is_413_and_closes(self, server):
+        raw = request("POST", "/sessions", headers=["Content-Length: 9999999"])
+        # The unread "body" is a well-formed request; it must never be
+        # parsed as one.
+        raw += request("GET", "/healthz")
+        assert statuses(exchange(server, raw)) == [413]
+        assert_healthy(server)
+
+    def test_a_body_spelling_the_old_oversize_sentinel_is_not_413(self, server):
+        raw = request("POST", "/sessions", b"__too_large__")
         assert statuses(exchange(server, raw)) == [400]
         assert_healthy(server)
 

@@ -177,3 +177,61 @@ class TestDiskCheckpoints:
         assert (tmp_path / "a.json").exists()
         assert store.remove("a") is True
         assert not (tmp_path / "a.json").exists()
+
+
+class TestCheckpointPathsStayInside:
+    """A caller-chosen id names its checkpoint file, so only a plain
+    file-name component may become a session id."""
+
+    NOT_PLAIN = ["../escaped", "a/b", "/abs", "a\\b", "nul\0id", "..", ".", ""]
+
+    @pytest.mark.parametrize("session_id", NOT_PLAIN)
+    def test_create_session_rejects_an_id_that_is_not_a_plain_name(
+        self, database, tmp_path, session_id
+    ):
+        from repro.service import RetrievalService
+
+        with RetrievalService(
+            database, k=5, capacity=1, checkpoint_dir=tmp_path / "ckpt"
+        ) as service:
+            with pytest.raises(ValueError, match="plain name"):
+                service.create_session(3, session_id=session_id)
+            service.create_session(4)
+            service.create_session(5)  # evicts the first into ckpt/
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt"]
+
+    def test_a_lease_of_such_an_id_never_reaches_the_file_system(
+        self, tmp_path, monkeypatch
+    ):
+        # A genuine checkpoint where "../escaped" would resolve.
+        outside = SessionStore(capacity=1, checkpoint_dir=tmp_path)
+        outside.put(make_session("escaped"))
+        outside.put(make_session("other"))
+        assert (tmp_path / "escaped.json").exists()
+        metrics = ServiceMetrics()
+        store = SessionStore(capacity=1, checkpoint_dir=tmp_path / "ckpt", metrics=metrics)
+
+        touched = []
+        exists = type(tmp_path).exists
+
+        def recording_exists(path):
+            touched.append(path)
+            return exists(path)
+
+        monkeypatch.setattr(type(tmp_path), "exists", recording_exists)
+        for session_id in self.NOT_PLAIN:
+            with pytest.raises(SessionNotFound):
+                with store.lease(session_id):
+                    pass
+            assert session_id not in store
+            assert store.remove(session_id) is False
+        monkeypatch.undo()
+        assert touched == []
+        assert (tmp_path / "escaped.json").exists()
+        assert metrics.snapshot()["counters"].get("sessions_restored", 0) == 0
+
+    def test_put_rejects_an_id_that_is_not_a_plain_name(self):
+        store = SessionStore(capacity=2)
+        with pytest.raises(ValueError):
+            store.put(make_session("../escaped"))
+        assert len(store) == 0
