@@ -22,28 +22,28 @@ delta_j^2`` is exact; the aggregate is monotone in each per-cluster
 distance, so the per-cluster bounds combine into an aggregate one.
 
 Two searches read the same tree.  :meth:`HybridTree.knn` is the exact
-best-first search over every node's bound, from one vectorised pass
-per query.  :meth:`HybridTree.approximate_knn` is the ANN tier: it
-scores the rows of the lowest-bound leaves up to a row budget the tree
-measures once (:meth:`HybridTree.calibrate`) and ranks them exactly,
-so the *only* approximation is which rows are scored.  The service
-stamps the calibrated mean recall on every page of that tier; the
-contract over served feedback queries is measured by
-``benchmarks/test_ann_recall.py`` and enforced by
-``compare_bench.py --suite ann``.
+search: one vectorised bound pass, leaves scored in bound order in a
+few kernel calls, and the page's leaves rescored one call each (a row
+scored in a larger block can move by an ulp), so it opens, counts and
+returns what a best-first search would.
+:meth:`HybridTree.approximate_knn` is the ANN tier: it scores the rows
+of the lowest-bound leaves up to a row budget the tree measures once
+(:meth:`HybridTree.calibrate`) and ranks them exactly, so the *only*
+approximation is which rows are scored.  The service stamps the
+calibrated mean recall on every page of that tier; the contract over
+served feedback queries is measured by ``benchmarks/test_ann_recall.py``
+and enforced by ``compare_bench.py --suite ann``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 
 from ..core.distance import DisjunctiveQuery
-from ..core.kernels import ensure_compiled
+from ..core.kernels import _DIAGONAL_TILE_ELEMENTS, ensure_compiled
 from ..core.progressive import exact_top_k, prune_threshold
 from ..faults import fault_point, faults_active, register_site
 from ..obs import add_event
@@ -81,8 +81,14 @@ def _box_gaps(low: np.ndarray, high: np.ndarray, point: np.ndarray) -> np.ndarra
     return np.maximum(gaps, 0.0, out=gaps)
 
 
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + sizes[i]``, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
+
+
 class HybridTree:
-    """Median-split bucket tree with best-first and row-budgeted k-NN.
+    """Median-split bucket tree with exact and row-budgeted k-NN.
 
     Args:
         vectors: ``(n, p)`` database matrix.
@@ -91,9 +97,8 @@ class HybridTree:
 
     ``low`` / ``high`` are the ``(n_nodes, p)`` bounding boxes.
     ``row_budget`` and ``calibrated_recall`` stay ``None`` until
-    :meth:`calibrate` runs.  Searches walk ``_links``, the table as
-    Python lists (element reads from lists are far cheaper than from
-    arrays).
+    :meth:`calibrate` runs.  :meth:`knn` rescores the page's leaves one
+    call per leaf, so its distances carry a node-by-node search's bits.
     """
 
     def __init__(
@@ -116,9 +121,9 @@ class HybridTree:
         self._table: List[List[int]] = []  # [left, right, start, stop] per node
         self._chunks: List[np.ndarray] = []
         self._grow(np.arange(vectors.shape[0]), 0)
-        self._links = tuple(map(list, zip(*self._table)))
+        links = tuple(map(list, zip(*self._table)))
         self.left, self.right, self.start, self.stop = (
-            np.array(column, dtype=np.intp) for column in self._links
+            np.array(column, dtype=np.intp) for column in links
         )
         self.rows = np.concatenate(self._chunks)
         del self._table, self._chunks
@@ -127,7 +132,7 @@ class HybridTree:
         # the node's own rows.
         self.low = np.empty((self.n_nodes, vectors.shape[1]))
         self.high = np.empty_like(self.low)
-        nodes = list(zip(range(self.n_nodes), *self._links))
+        nodes = list(zip(range(self.n_nodes), *links))
         for node, left, right, start, stop in reversed(nodes):
             if left < 0:
                 members = vectors[self.rows[start:stop]]
@@ -216,90 +221,88 @@ class HybridTree:
         k: int,
         node_cache: Optional[Set[int]] = None,
     ) -> KnnResult:
-        """Best-first exact k-NN under the query's aggregate distance.
+        """Exact k-NN under the query's aggregate distance.
+
+        Leaves are scored in (bound, leaf order), one kernel call per chunk
+        of 8, 16, ... leaves (at most one diagonal tile of rows), while their
+        bound is within the doubly slacked k-th distance.  The leaves holding
+        a surviving row are rescored one call each, as a node read scores
+        them, since a row scored in a chunk can move by an ulp.  The nodes
+        opened are those bounded within the slacked k-th distance: no
+        child's bound is below its parent's, so best-first opens the same.
 
         Args:
             query: the (multipoint) query to rank by.
             k: neighbours to return.
             node_cache: optional set of node ids already resident in
                 memory from earlier iterations; accesses to them count as
-                cached rather than I/O, and every node visited is added.
-                This is the node-caching technique of the multipoint
-                approach [7] that Figure 7 credits for Qcluster's low
-                execution cost.
+                cached rather than I/O, and every node opened is added
+                (unless a ``tree.node`` fault aborts the search).  This
+                is the node-caching technique of the multipoint approach
+                [7] that Figure 7 credits for Qcluster's low execution
+                cost.
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         self._check_dimension(query)
         k = min(k, self.size)
-        bounds = self.node_bounds(query).tolist()
-        left, right, start, stop = self._links
-
-        counter = itertools.count()
-        frontier: List[Tuple[float, int, int]] = [(bounds[0], next(counter), 0)]
-        # The best k so far under the (distance, id) order every exact
-        # path shares, as a heap of (-distance, -id): the worst on top.
-        best: List[Tuple[float, int]] = []
-        # A node is opened while its bound does not exceed the slacked
-        # k-th distance: a node bounded *at* the k-th distance can still
-        # hold a tied row with a smaller id, and the bound arithmetic can
-        # overshoot a distance by a few ulps.
-        cut = float("inf")
-        node_accesses = 0
-        io_accesses = 0
-        cached_accesses = 0
-        distance_evaluations = 0
-
-        while frontier:
-            bound, _, node = heapq.heappop(frontier)
-            if bound > cut:
+        bounds = self.node_bounds(query)
+        leaf_starts = self.start[self.leaves]
+        order = np.argsort(bounds[self.leaves], kind="stable")
+        sorted_bounds, sizes = bounds[self.leaves][order], self._leaf_sizes[order]
+        read = np.cumsum(sizes)
+        tile_rows = max(1, _DIAGONAL_TILE_ELEMENTS // self.vectors.shape[1])
+        # Positions in ``rows`` still in the running, and their distances.
+        held, scored = np.empty(0, dtype=np.intp), np.empty(0)
+        kth, position, width = math.inf, 0, 8
+        while True:
+            reach = np.searchsorted(sorted_bounds, prune_threshold(prune_threshold(kth)), "right")
+            if position >= reach:
                 break
-            fault_point(_SITE_TREE_NODE, key=str(node))
-            node_accesses += 1
-            if node_cache is not None and node in node_cache:
-                cached_accesses += 1
-            else:
-                io_accesses += 1
-                if node_cache is not None:
-                    node_cache.add(node)
-            if left[node] >= 0:
-                for child in (left[node], right[node]):
-                    child_bound = bounds[child]
-                    if child_bound <= cut:
-                        heapq.heappush(frontier, (child_bound, next(counter), child))
-                continue
-            candidates = self.rows[start[node] : stop[node]]
-            distances = np.asarray(query.distances(self.vectors[candidates]))
-            distance_evaluations += candidates.shape[0]
-            for distance, index in zip(distances.tolist(), candidates.tolist()):
-                entry = (-distance, -index)
-                if len(best) < k:
-                    heapq.heappush(best, entry)
-                elif entry > best[0]:
-                    heapq.heapreplace(best, entry)
-                else:
-                    continue
-                if len(best) == k:
-                    cut = prune_threshold(-best[0][0])
+            capped = np.searchsorted(read, read[position] - sizes[position] + tile_rows, "right")
+            stop = max(position + 1, min(position + width, int(reach), int(capped)))
+            chunk = order[position:stop]
+            positions = _runs(leaf_starts[chunk], self._leaf_sizes[chunk])
+            distances = query.distances(np.take(self.vectors, self.rows[positions], axis=0))
+            held = np.concatenate((held, positions))
+            scored = np.concatenate((scored, distances))
+            if scored.shape[0] >= k:
+                kth = float(np.partition(scored, k - 1)[k - 1])
+                keep = scored <= prune_threshold(kth)
+                held, scored = held[keep], scored[keep]
+            position, width = stop, 2 * width
 
-        ordered = sorted(best, reverse=True)
+        held_leaves = np.unique(np.searchsorted(leaf_starts, held, side="right") - 1)
+        runs = [self.rows[self.start[leaf] : self.stop[leaf]] for leaf in self.leaves[held_leaves]]
+        scored = np.concatenate([np.asarray(query.distances(self.vectors[rows])) for rows in runs])
+        ids = np.concatenate(runs)
+        top = exact_top_k(scored, k, tie_break=ids)
+        # Open up to the slacked k-th distance: a node bounded *at* it can hold
+        # a tied row with a smaller id, and a bound can overshoot by a few ulps.
+        cut = prune_threshold(float(scored[top[-1]])) if top.shape[0] == k else math.inf
+        opened = np.flatnonzero(bounds <= cut)
+        opened_ids = opened.tolist()
+        if faults_active():
+            for node in opened_ids:
+                fault_point(_SITE_TREE_NODE, key=str(node))
+        cached = 0 if node_cache is None else len(node_cache.intersection(opened_ids))
+        if node_cache is not None:
+            node_cache.update(opened_ids)
+        opened_leaves = opened[self.left[opened] < 0]
+        cost = SearchCost(
+            node_accesses=opened.shape[0],
+            io_accesses=opened.shape[0] - cached,
+            cached_accesses=cached,
+            distance_evaluations=int((self.stop[opened_leaves] - self.start[opened_leaves]).sum()),
+        )
         add_event(
             "index_knn",
-            node_accesses=node_accesses,
-            io_accesses=io_accesses,
-            cached_accesses=cached_accesses,
-            refined=distance_evaluations,
+            node_accesses=cost.node_accesses,
+            io_accesses=cost.io_accesses,
+            cached_accesses=cost.cached_accesses,
+            refined=cost.distance_evaluations,
         )
-        return KnnResult(
-            indices=np.array([-negative for _, negative in ordered], dtype=int),
-            distances=np.array([-negative for negative, _ in ordered]),
-            cost=SearchCost(
-                node_accesses=node_accesses,
-                io_accesses=io_accesses,
-                cached_accesses=cached_accesses,
-                distance_evaluations=distance_evaluations,
-            ),
-        )
+        return KnnResult(indices=ids[top], distances=scored[top], cost=cost)
 
     def calibrate(self) -> None:
         """Measure the approximate search's row budget (once; idempotent).
@@ -373,12 +376,8 @@ class HybridTree:
         if faults_active():
             for leaf in self.leaves[chosen].tolist():
                 fault_point(_SITE_DESCEND, key=str(leaf))
-        sizes = self._leaf_sizes[chosen]
-        n_rows = int(read[n_read - 1])
-        # Positions in the leaf-ordered copy: each chosen leaf's start,
-        # shifted so one arange walks the leaves back to back.
-        shift = self.start[self.leaves[chosen]] - (read[:n_read] - sizes)
-        positions = np.repeat(shift, sizes) + np.arange(n_rows)
+        positions = _runs(self.start[self.leaves[chosen]], self._leaf_sizes[chosen])
+        n_rows = positions.shape[0]
         candidates = self.rows[positions]
         distances = query.distances(np.take(ordered, positions, axis=0))
         top = exact_top_k(distances, min(k, n_rows), tie_break=candidates)

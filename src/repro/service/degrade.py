@@ -1,7 +1,7 @@
 """Graceful degradation policy for the query path.
 
 The primary ranking path goes through the :class:`~repro.index.
-tree.HybridTree` best-first search with the cross-iteration node
+tree.HybridTree` exact search with the cross-iteration node
 cache — the fast path when it behaves.  Under load, with a corrupted
 index, or with a query whose contours force the tree to open most of
 its nodes, that path can blow its latency budget or raise outright.

@@ -53,3 +53,18 @@ def database() -> FeatureDatabase:
     )
     labels = np.repeat(np.arange(4), 30)
     return FeatureDatabase(vectors, labels)
+
+
+@pytest.fixture(scope="session")
+def indexed_database() -> FeatureDatabase:
+    """800 points in 8-d: eight Gaussian categories over 16 tree leaves.
+
+    A 4 KB page holds 64 such rows, so a tree search opens several
+    nodes and the ANN tier's calibrated row budget is below the
+    collection's size; the 3-d collection above fits one leaf.
+    """
+    rng = np.random.default_rng(11)
+    centers = 3.0 * rng.standard_normal((8, 8))
+    vectors = np.concatenate([center + rng.standard_normal((100, 8)) for center in centers])
+    labels = np.repeat(np.arange(8), 100)
+    return FeatureDatabase(vectors, labels)

@@ -37,8 +37,11 @@ def run_workload(
     store_path=None,
     batching=False,
     ann=False,
+    use_index=False,
 ):
-    """Round-robin query/feedback rounds; returns (records, fire stats).
+    """Round-robin query/feedback rounds.
+
+    Returns ``(records, fire stats, metrics snapshot)``.
 
     With ``store_path`` the service is backed by that feature-store
     file (arming the ``store.*`` fault sites); the fault-free baseline
@@ -48,7 +51,9 @@ def run_workload(
     workload yields micro-batches of one, which still traverse the
     full batch path.  With ``ann`` the service builds the tree's
     approximate tier and every request asks for it (arming the
-    ``index.descend`` site, once per leaf a search reads).
+    ``index.descend`` site, once per leaf a search reads).  With
+    ``use_index`` exact pages come from the tree's multipoint search
+    (arming the ``tree.node`` site, once per node a search opens).
     """
     from repro.store import FeatureStore
 
@@ -61,7 +66,7 @@ def run_workload(
         service = RetrievalService(
             FeatureStore.open(store_path) if store_path is not None else database,
             k=K,
-            use_index=False,
+            use_index=use_index,
             n_shards=shards,
             capacity=2,  # small: forces checkpoint evict/restore churn
             checkpoint_dir=checkpoint_dir,
@@ -108,8 +113,9 @@ def run_workload(
                         records.append(record)
                 stats = active.stats() if active is not None else None
         finally:
+            snapshot = service.metrics_snapshot()
             service.shutdown()
-    return records, stats
+    return records, stats, snapshot
 
 
 def check_contract(baseline, faulted):
@@ -163,7 +169,9 @@ def check_contract(baseline, faulted):
 
 @pytest.mark.parametrize("plan_name", chaos_plan_names())
 @pytest.mark.parametrize("fault_seed", SCALE["seeds"])
-def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
+def test_byte_identical_or_degraded(
+    database, indexed_database, plan_name, fault_seed, tmp_path
+):
     plan = builtin_plan(plan_name, seed=fault_seed)
     store_path = None
     if plan_name == "torn-block":
@@ -175,13 +183,16 @@ def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
         build_store(database, store_path, n_shards=4)
     # batch-abort targets batch.execute, so both runs must route
     # rankings through the batching executor; ann-descend targets
-    # index.descend, so both runs must serve from the ANN tier.
+    # index.descend, so both runs must serve from the ANN tier, over a
+    # collection large enough that the tier reads only some rows.
     batching = plan_name == "batch-abort"
     ann = plan_name == "ann-descend"
-    baseline, _ = run_workload(
+    if ann:
+        database = indexed_database
+    baseline, _, _ = run_workload(
         database, None, store_path=store_path, batching=batching, ann=ann
     )
-    faulted, stats = run_workload(
+    faulted, stats, snapshot = run_workload(
         database, plan, store_path=store_path, batching=batching, ann=ann
     )
     counts = check_contract(baseline, faulted)
@@ -191,6 +202,7 @@ def test_byte_identical_or_degraded(database, plan_name, fault_seed, tmp_path):
     ), "no page survived to be byte-checked"
     if plan_name == "ann-descend":
         assert counts["fallback"] > 0, "no search failed: plan miswired"
+        assert snapshot["ann"]["row_budget"] < database.size, "the tier read every row"
     if plan_name == "torn-block":
         degraded_reasons = {
             reason
@@ -211,15 +223,35 @@ def test_replay_is_deterministic(database, plan_name):
     if plan_name not in chaos_plan_names():
         pytest.skip(f"REPRO_CHAOS_PLAN excludes {plan_name}")
     plan = builtin_plan(plan_name, seed=0)
-    first, first_stats = run_workload(database, plan, shards=1)
-    second, second_stats = run_workload(database, plan, shards=1)
+    first, first_stats, _ = run_workload(database, plan, shards=1)
+    second, second_stats, _ = run_workload(database, plan, shards=1)
     assert first == second
     assert first_stats["invocations"] == second_stats["invocations"]
     assert first_stats["by_site"] == second_stats["by_site"]
 
 
+@pytest.mark.parametrize("plan_name", ["worker-crash", "slow-shard"])
+@pytest.mark.parametrize("fault_seed", SCALE["seeds"])
+def test_index_route_is_byte_identical_or_degraded(
+    indexed_database, plan_name, fault_seed
+):
+    """The exact tree route under the plans that arm ``tree.node``: a
+    failed node read trips the session onto the exact scan, a slow one
+    only waits, and every page still matches its fault-free twin or is
+    stamped degraded."""
+    if plan_name not in chaos_plan_names():
+        pytest.skip(f"REPRO_CHAOS_PLAN excludes {plan_name}")
+    plan = builtin_plan(plan_name, seed=fault_seed)
+    baseline, _, _ = run_workload(indexed_database, None, use_index=True)
+    faulted, stats, snapshot = run_workload(indexed_database, plan, use_index=True)
+    assert "tree.node" in stats["by_site"], "no node read was faulted"
+    assert snapshot["counters"]["index_node_accesses"] > 0
+    counts = check_contract(baseline, faulted)
+    assert counts["exact"] > 0, "no page survived to be byte-checked"
+
+
 def test_fault_free_run_is_all_exact(database):
-    records, _ = run_workload(database, None)
+    records, _, _ = run_workload(database, None)
     assert all(record.get("quality") == "exact" for record in records)
 
 
@@ -234,5 +266,5 @@ def test_faults_never_leak_out_of_activation(database, plan_name):
         batching=plan_name == "batch-abort",
     )
     assert not faults_active()
-    records, _ = run_workload(database, None)
+    records, _, _ = run_workload(database, None)
     assert all(record.get("quality") == "exact" for record in records)

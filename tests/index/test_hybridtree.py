@@ -120,6 +120,26 @@ class TestPruning:
         assert second.cost.io_accesses == 0
         assert second.cost.cached_accesses == second.cost.node_accesses
 
+    def test_node_fault_aborts_and_leaves_the_cache_unchanged(self, rng):
+        """An error injected on an opened leaf raises out of ``knn``
+        before the cache learns any node, even those read before it."""
+        from repro.faults import FaultPlan, FaultSpec, InjectedFault, activate_faults
+
+        vectors = rng.standard_normal((600, 3))
+        tree = HybridTree(vectors, leaf_capacity=16)
+        warm = multipoint_query([vectors[0]], [np.eye(3)], [1.0])
+        query = multipoint_query([vectors[300]], [np.eye(3)], [1.0])
+        cache: set = set()
+        tree.knn(warm, 10, node_cache=cache)
+        before = set(cache)
+        opened = set()
+        tree.knn(query, 10, node_cache=opened)
+        leaf = max(node for node in opened - before if tree.left[node] < 0)
+        plan = FaultPlan(specs=(FaultSpec("tree.node", "error", key=str(leaf), at=(1,)),))
+        with activate_faults(plan), pytest.raises(InjectedFault):
+            tree.knn(query, 10, node_cache=cache)
+        assert cache == before
+
 
 class TestStructure:
     def test_leaf_capacity_respected(self, rng):

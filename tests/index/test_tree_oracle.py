@@ -14,6 +14,8 @@ vectorised bound must also stay a sound lower bound.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -21,7 +23,8 @@ from hypothesis import strategies as hst
 
 from repro.baselines.base import PowerMeanQuery
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.core.progressive import exact_top_k
+from repro.core.kernels import _DIAGONAL_TILE_ELEMENTS
+from repro.core.progressive import exact_top_k, prune_threshold
 from repro.index.tree import HybridTree
 from repro.parallel import scan_shard_topk
 
@@ -147,6 +150,42 @@ class TestHybridTreeOracle:
         for g in (1, 3, 6):
             queries = [make_query(rng, vectors, kind, g) for _ in range(3)]
             assert_same_session(flat, reference, queries, 20)
+
+
+class TestSearchShape:
+    """The exact search scores leaves in a few kernel calls, not one per
+    opened leaf, and opens exactly the nodes bounded within the slacked
+    k-th distance."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "inverse"])
+    def test_kernel_calls_and_node_accesses(self, kind, monkeypatch):
+        rng = np.random.default_rng(25)
+        n, p = 8000, 16
+        vectors = make_database(rng, n, p, 0.05, False)
+        tree = HybridTree(vectors)
+        n_leaves = tree.leaves.shape[0]
+        assert tree.leaf_capacity == 32 and n_leaves > 64
+        tile_rows = _DIAGONAL_TILE_ELEMENTS // p
+        chunk_calls = math.ceil(math.log2(n_leaves)) + math.ceil(n / tile_rows)
+        leaf_of = np.empty(n, dtype=np.intp)
+        leaf_of[tree.rows] = np.repeat(tree.leaves, tree.leaf_sizes())
+        score = DisjunctiveQuery.distances
+        calls = []
+
+        def counted(query, rows):
+            calls.append(rows.shape[0])
+            return score(query, rows)
+
+        for g in (1, 3, 6):
+            query = make_query(rng, vectors, kind, g)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(DisjunctiveQuery, "distances", counted)
+                page = tree.knn(query, 20)
+            cut = prune_threshold(page.distances[-1])
+            near = np.flatnonzero(query.distances(vectors) <= cut)
+            assert len(calls) <= chunk_calls + np.unique(leaf_of[near]).shape[0]
+            assert page.cost.node_accesses == np.count_nonzero(tree.node_bounds(query) <= cut)
 
 
 def make_dyadic_case(rng, n, p, duplicate_share, kind, g, on_rows):
