@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import kernels as _kernels
-from ..core.distance import QueryPoint, column_dots, quadratic_distance_many
+from ..core.distance import QueryPoint, fold_clusters, quadratic_distance_many
 from ..retrieval.methods import FeedbackMethod
 
 __all__ = ["PowerMeanQuery", "AccumulatingMethod", "diagonal_inverse_from_points"]
@@ -108,28 +108,14 @@ class PowerMeanQuery:
         The weighted power mean is monotone increasing in every
         coordinate (for any non-zero exponent), so per-point *lower
         bounds* — box bounds or progressive coordinate prefixes —
-        combine into a valid aggregate lower bound.
+        combine into a valid aggregate lower bound; each column's value
+        is bitwise what it gives on its own.
         """
-        return self._power_mean(
-            np.atleast_2d(per_point), lambda v, m: np.tensordot(v, m, axes=1)
-        )
-
-    def lower_bound_from_center_distance(self, center_distances) -> np.ndarray:
-        """``(m,)`` aggregate lower bounds from ``(g, m)`` per-point ones
-        (``(g,)`` for one region); each column bitwise independent of
-        ``m`` (see :func:`~repro.core.distance.column_dots`)."""
-        per_point = np.asarray(center_distances, dtype=float)
-        if per_point.ndim == 1:
-            per_point = per_point[:, None]
-        return self._power_mean(per_point, column_dots)
-
-    def _power_mean(self, per_point: np.ndarray, dot) -> np.ndarray:
-        """The weighted power mean down each column, weights folded by ``dot``."""
-        per_point = np.asarray(per_point, dtype=float)
+        per_point = np.atleast_2d(np.asarray(per_point, dtype=float))
         normalized = self.weights / self.weights.sum()
         if self.alpha < 0:
             per_point = np.maximum(per_point, _DISTANCE_FLOOR)
-        return dot(normalized, per_point**self.alpha) ** (1.0 / self.alpha)
+        return fold_clusters(normalized, per_point**self.alpha) ** (1.0 / self.alpha)
 
     def per_point_distances(self, database: np.ndarray) -> np.ndarray:
         """``(g, N)`` per-query-point quadratic distances.

@@ -86,18 +86,19 @@ def aggregate_distance(
     return float(np.mean(distances**alpha) ** (1.0 / alpha))
 
 
-def column_dots(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``vector @ matrix`` for a ``(g, m)`` matrix, one vector dot per column.
+def fold_clusters(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``Σ_i weights[i] · terms[i]`` over the rows of a ``(g, N)`` matrix.
 
-    A single ``(g,) @ (g, m)`` product goes through a BLAS matrix-vector
-    kernel whose accumulation order depends on ``m``; stacking the
-    columns as ``m`` separate vector dots makes every entry bitwise what
-    that column gives on its own (``m == 1``).  Tree node bounds rely on
-    this: a node's bound must not depend on how many nodes are bounded
-    together.
+    Summed cluster by cluster in order, so every column's value is what
+    that column gives on its own: a row's aggregate distance, or a tree
+    node's bound, does not depend on how many are folded together (a
+    ``tensordot`` or a column ``sum`` may change its summation order with
+    ``N``).
     """
-    rows = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)[:, None, :]
-    return np.matmul(rows, np.asarray(vector, dtype=float)[:, None])[:, 0, 0]
+    total = weights[0] * terms[0]
+    for weight, row in zip(weights[1:], terms[1:]):
+        total += weight * row
+    return total
 
 
 def disjunctive_distance(
@@ -126,7 +127,7 @@ def disjunctive_distance(
     if np.any(weights <= 0):
         raise ValueError("cluster weights must be strictly positive")
     clamped = np.maximum(distances, _DISTANCE_FLOOR)
-    return weights.sum() / np.tensordot(weights, 1.0 / clamped, axes=1)
+    return weights.sum() / fold_clusters(weights, 1.0 / clamped)
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,8 @@ class DisjunctiveQuery:
         The harmonic combination is monotone increasing in every
         per-cluster entry, so feeding per-cluster *lower bounds* (tree
         boxes, progressive coordinate prefixes) yields a valid lower
-        bound on the aggregate — the hook the filter-and-refine scan
-        builds on.
+        bound on the aggregate; each column's value is bitwise what it
+        gives on its own (see :func:`fold_clusters`).
         """
         per_cluster = np.atleast_2d(np.asarray(per_cluster, dtype=float))
         if self.size == 1:
@@ -233,26 +234,3 @@ class DisjunctiveQuery:
     def distance(self, x: np.ndarray) -> float:
         """Aggregate distance for one point (scalar convenience)."""
         return float(self.distances(np.asarray(x, dtype=float)[None, :])[0])
-
-    def lower_bound_from_center_distance(self, center_distances: np.ndarray) -> np.ndarray:
-        """Aggregate distance lower bounds given per-point lower bounds.
-
-        Used by the multipoint index search: if ``center_distances[i, j]``
-        is a lower bound on ``d^2`` to query point ``i`` for every point
-        in index region ``j``, then the weighted harmonic combination of
-        column ``j`` lower-bounds the aggregate distance in that region
-        (the aggregate is monotone in each coordinate).  Takes ``(g, m)``
-        bounds for ``m`` regions (or ``(g,)`` for one) and returns
-        ``(m,)``; each region's bound is bitwise independent of ``m``
-        (see :func:`column_dots`).
-        """
-        per_cluster = np.asarray(center_distances, dtype=float)
-        if per_cluster.ndim == 1:
-            per_cluster = per_cluster[:, None]
-        if self.size == 1:
-            # A single point's bound passes through exactly (a zero
-            # bound must stay zero).
-            return per_cluster[0]
-        weights = self.weights
-        clamped = np.maximum(per_cluster, _DISTANCE_FLOOR)
-        return weights.sum() / column_dots(weights, 1.0 / clamped)

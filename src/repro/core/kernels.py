@@ -68,7 +68,6 @@ __all__ = [
     "MatmulKernel",
     "CompiledQuery",
     "KernelCache",
-    "batch_tile_bounds",
     "batched_per_cluster_distances",
     "compile_query",
     "ensure_compiled",
@@ -81,14 +80,22 @@ __all__ = [
 #: the exact shape :meth:`repro.index.tree.HybridTree` consumes.
 BoundInfo = Tuple[np.ndarray, Optional[np.ndarray], float]
 
-#: Target element count of one whitening tile: a ``(rows, g·p)`` block
-#: of the fused product plus its operands should stay cache-resident.
-_TILE_ELEMENTS = 1 << 19
+#: Row height of every whitening and matmul GEMM call.  OpenBLAS picks
+#: its code path (small-matrix kernel, edge kernels for a short panel)
+#: from the call's shape, and a row's bits follow the path; calling at
+#: one fixed height, the last block padded, gives every row the same
+#: bits however many rows are scored with it.
+_GEMM_ROWS = 768
 
 #: Target element count of one diagonal tile: a database block this
 #: size is read from memory once and rescanned (subtract/square/dot)
 #: for every cluster while it is still cache-hot.
 _DIAGONAL_TILE_ELEMENTS = 1 << 15
+
+#: Diagonal GEMV calls are padded to a multiple of this many rows: the
+#: GEMV kernel scores rows in blocks of this width, and a row in a
+#: short tail block takes a path with different rounding.
+_GEMV_ROWS = 8
 
 #: Target element count of one *multi-query* tile: a database block
 #: this size is read from main memory once per micro-batch and scored
@@ -146,7 +153,7 @@ class DiagonalKernel:
     """O(N·p) evaluator for an exactly diagonal ``S^{-1}``.
 
     Keeps only the centroid and the diagonal weight vector; the dense
-    matrix never participates in evaluation.
+    matrix never participates in evaluation (see ``_FusedDiagonal``).
     """
 
     kind = "diagonal"
@@ -154,11 +161,6 @@ class DiagonalKernel:
     def __init__(self, center: np.ndarray, diagonal: np.ndarray) -> None:
         self.center = np.ascontiguousarray(center, dtype=float)
         self.diagonal = np.ascontiguousarray(diagonal, dtype=float)
-
-    def distances(self, database: np.ndarray) -> np.ndarray:
-        centered = database - self.center
-        np.multiply(centered, centered, out=centered)
-        return centered @ self.diagonal
 
     def bound_info(self) -> BoundInfo:
         # The per-axis bound is exact for a diagonal form.
@@ -169,9 +171,9 @@ class CholeskyKernel:
     """Whitening evaluator for a full positive-definite ``S^{-1}``.
 
     Factors ``S^{-1} = L L'`` once at compile time; then
-    ``d^2(x) = ||(x - c) L||^2``.  Standalone evaluation is provided for
-    completeness, but inside a :class:`CompiledQuery` all Cholesky
-    kernels are fused into one batched matmul (see ``_FusedWhitening``).
+    ``d^2(x) = ||(x - c) L||^2``.  A :class:`CompiledQuery` evaluates
+    all its Cholesky kernels as one fused matmul (see
+    ``_FusedWhitening``).
     """
 
     kind = "cholesky"
@@ -181,10 +183,6 @@ class CholeskyKernel:
         self.inverse = np.ascontiguousarray(inverse, dtype=float)
         self.factor = np.ascontiguousarray(factor, dtype=float)
         self._lambda_min: Optional[float] = None
-
-    def distances(self, database: np.ndarray) -> np.ndarray:
-        transformed = (database - self.center) @ self.factor
-        return np.einsum("ij,ij->i", transformed, transformed)
 
     def bound_info(self) -> BoundInfo:
         if self._lambda_min is None:
@@ -209,15 +207,31 @@ class MatmulKernel:
         self._lambda_min: Optional[float] = None
 
     def distances(self, database: np.ndarray) -> np.ndarray:
-        centered = database - self.center
-        transformed = centered @ self.inverse
-        return np.einsum("ij,ij->i", transformed, centered)
+        out = np.empty(database.shape[0])
+        for start, stop, block in _gemm_blocks(database, self.center):
+            transformed = (block @ self.inverse)[: stop - start]
+            out[start:stop] = np.einsum("ij,ij->i", transformed, block[: stop - start])
+        return out
 
     def bound_info(self) -> BoundInfo:
         if self._lambda_min is None:
             eigenvalues = np.linalg.eigvalsh(self.inverse)
             self._lambda_min = float(max(eigenvalues.min(), 0.0))
         return (self.center, None, self._lambda_min)
+
+
+def _gemm_blocks(database: np.ndarray, shift: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """``(start, stop, block)`` over ``_GEMM_ROWS``-row blocks.
+
+    ``block`` is one reused ``(_GEMM_ROWS, p)`` buffer whose first
+    ``stop - start`` rows hold ``database[start:stop] - shift``; a GEMM
+    over the whole buffer is a call of the one fixed height.
+    """
+    block = np.zeros((_GEMM_ROWS, database.shape[1]))
+    for start in range(0, database.shape[0], _GEMM_ROWS):
+        stop = min(start + _GEMM_ROWS, database.shape[0])
+        np.subtract(database[start:stop], shift, out=block[: stop - start])
+        yield start, stop, block
 
 
 class _FusedDiagonal:
@@ -227,9 +241,9 @@ class _FusedDiagonal:
     production sizes that is g round trips to main memory for an
     operation that does almost no arithmetic.  Tiling flips the loop:
     each cache-sized block of rows is loaded once and scored against
-    every cluster while hot.  Per-row results are unchanged (subtract,
-    square and row-wise dot are independent of the tiling), so this is
-    a pure bandwidth optimization.
+    every cluster while hot.  Each GEMV runs over a multiple of
+    ``_GEMV_ROWS`` rows, so no row lands in a short tail block and a
+    row's bits do not depend on the tiling or on the rows around it.
     """
 
     def __init__(self, kernels: Sequence[DiagonalKernel], rows: Sequence[int]) -> None:
@@ -239,16 +253,16 @@ class _FusedDiagonal:
 
     def write_into(self, out: np.ndarray, database: np.ndarray) -> None:
         n, p = database.shape
-        tile = max(1, _DIAGONAL_TILE_ELEMENTS // max(1, p))
-        buffer = np.empty((min(tile, n), p))
+        tile = max(1, _DIAGONAL_TILE_ELEMENTS // max(1, p) // _GEMV_ROWS) * _GEMV_ROWS
+        buffer = np.zeros((min(tile, -(-n // _GEMV_ROWS) * _GEMV_ROWS), p))
         for start in range(0, n, tile):
             stop = min(start + tile, n)
-            block = database[start:stop]
-            scratch = buffer[: stop - start]
+            rows = stop - start
+            scratch = buffer[: -(-rows // _GEMV_ROWS) * _GEMV_ROWS]
             for position, row in enumerate(self.rows):
-                np.subtract(block, self.centers[position], out=scratch)
-                np.multiply(scratch, scratch, out=scratch)
-                out[row, start:stop] = scratch @ self.diagonals[position]
+                np.subtract(database[start:stop], self.centers[position], out=scratch[:rows])
+                np.multiply(scratch[:rows], scratch[:rows], out=scratch[:rows])
+                out[row, start:stop] = (scratch @ self.diagonals[position])[:rows]
 
 
 class _FusedWhitening:
@@ -260,7 +274,8 @@ class _FusedWhitening:
     the mean of the participating centroids before the product — a
     shared shift that keeps the per-cluster offsets (and therefore the
     cancellation error of ``x·L - c·L``) small without breaking the
-    fusion.  Tiles are sized so each block stays cache-resident.
+    fusion.  Every product is one ``_GEMM_ROWS``-row call (see
+    :func:`_gemm_blocks`).
     """
 
     def __init__(self, kernels: Sequence[CholeskyKernel], rows: Sequence[int]) -> None:
@@ -276,12 +291,8 @@ class _FusedWhitening:
 
     def write_into(self, out: np.ndarray, database: np.ndarray) -> None:
         p = self.dimension
-        n = database.shape[0]
-        tile = max(1, _TILE_ELEMENTS // max(1, self.stacked.shape[1]))
-        for start in range(0, n, tile):
-            stop = min(start + tile, n)
-            block = database[start:stop] - self.shift
-            product = block @ self.stacked
+        for start, stop, block in _gemm_blocks(database, self.shift):
+            product = (block @ self.stacked)[: stop - start]
             for position, row in enumerate(self.rows):
                 transformed = product[:, position * p : (position + 1) * p]
                 transformed -= self.offsets[position]
@@ -385,14 +396,10 @@ def batched_per_cluster_distances(
     in cache-sized row tiles and each tile is scored against *every*
     batched query's kernels while the rows are still hot, so a
     micro-batch of B compatible queries reads the feature matrix from
-    main memory once instead of B times.  The tile boundaries are a
-    pure function of ``(n, p)`` — never of the batch size — and a
-    degenerate tail is folded into the last full tile (a one-row GEMM
-    may take a different BLAS accumulation path than the same row
-    inside a panel).  Every caller scoring the same matrix therefore
-    evaluates the exact same per-tile kernel calls, so the returned
-    matrices are **bitwise identical** whether the batch holds one
-    query or thirty-two.
+    main memory once instead of B times.  A row's distances depend on
+    the row alone, never on the rows scored with it, so the returned
+    matrices are **bitwise identical** to each query's own full scan
+    whether the batch holds one query or thirty-two.
 
     Args:
         compiled_queries: the batch, already compiled (see
@@ -410,26 +417,12 @@ def batched_per_cluster_distances(
     outs = [
         np.empty((compiled.size, n)) for compiled in compiled_queries
     ]
-    for start, stop in batch_tile_bounds(n, p):
-        block = database[start:stop]
-        for compiled, out in zip(compiled_queries, outs):
-            out[:, start:stop] = compiled.per_cluster_distances(block)
-    return outs
-
-
-def batch_tile_bounds(n: int, p: int) -> List[Tuple[int, int]]:
-    """Row-tile ``(start, stop)`` bounds shared by every batched scorer.
-
-    A pure function of the matrix geometry so a query scanned alone and
-    inside a micro-batch makes identical per-tile kernel calls; the tail
-    is merged into the preceding tile, keeping every tile at least
-    ``_BATCH_TILE_ELEMENTS // p`` rows tall.
-    """
     tile = max(1, _BATCH_TILE_ELEMENTS // max(1, p))
-    bounds = [(start, min(start + tile, n)) for start in range(0, n, tile)]
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < tile:
-        bounds[-2:] = [(bounds[-2][0], n)]
-    return bounds
+    for start in range(0, n, tile):
+        block = database[start : start + tile]
+        for compiled, out in zip(compiled_queries, outs):
+            out[:, start : start + tile] = compiled.per_cluster_distances(block)
+    return outs
 
 
 def _point_diagonal(point) -> Optional[np.ndarray]:

@@ -24,8 +24,9 @@ combine into a valid aggregate lower bound.  A scan can therefore
    does not already exceed the threshold, in blocks ordered by bound.
 
 Exactness contract: the refine phase evaluates survivors through the
-query's own ``distances()`` (the compiled kernels, whose row-subset
-evaluations are bitwise identical to full-scan rows), and a candidate
+query's own ``distances()`` (the compiled kernels, in which a row's
+distance depends on the row alone, so a refine chunk scores each row
+with its full-scan bits), and a candidate
 is pruned only when its lower bound exceeds the threshold by a small
 relative-plus-absolute slack.  The returned top-k is therefore
 **byte-identical** to the naive full scan under the shared

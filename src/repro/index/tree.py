@@ -22,10 +22,11 @@ delta_j^2`` is exact; the aggregate is monotone in each per-cluster
 distance, so the per-cluster bounds combine into an aggregate one.
 
 Two searches read the same tree.  :meth:`HybridTree.knn` is the exact
-search: one vectorised bound pass, leaves scored in bound order in a
-few kernel calls, and the page's leaves rescored one call each (a row
-scored in a larger block can move by an ulp), so it opens, counts and
-returns what a best-first search would.
+search: one vectorised bound pass and leaves scored in bound order in a
+few kernel calls.  A row's distance depends on the row alone (see
+docs/PERFORMANCE.md, "Numerical contract"), so a row scored in a chunk
+has the bits a node-by-node read gives it, and the search opens,
+counts and returns what a best-first search would.
 :meth:`HybridTree.approximate_knn` is the ANN tier: it scores the rows
 of the lowest-bound leaves up to a row budget the tree measures once
 (:meth:`HybridTree.calibrate`) and ranks them exactly, so the *only*
@@ -97,8 +98,7 @@ class HybridTree:
 
     ``low`` / ``high`` are the ``(n_nodes, p)`` bounding boxes.
     ``row_budget`` and ``calibrated_recall`` stay ``None`` until
-    :meth:`calibrate` runs.  :meth:`knn` rescores the page's leaves one
-    call per leaf, so its distances carry a node-by-node search's bits.
+    :meth:`calibrate` runs.
     """
 
     def __init__(
@@ -213,7 +213,7 @@ class HybridTree:
                 per_point[position] = squares.sum(axis=1)
             else:
                 per_point[position] = lambda_min * squares.sum(axis=1)
-        return query.lower_bound_from_center_distance(per_point)
+        return query.combine_per_cluster(per_point)
 
     def knn(
         self,
@@ -225,11 +225,10 @@ class HybridTree:
 
         Leaves are scored in (bound, leaf order), one kernel call per chunk
         of 8, 16, ... leaves (at most one diagonal tile of rows), while their
-        bound is within the doubly slacked k-th distance.  The leaves holding
-        a surviving row are rescored one call each, as a node read scores
-        them, since a row scored in a chunk can move by an ulp.  The nodes
-        opened are those bounded within the slacked k-th distance: no
-        child's bound is below its parent's, so best-first opens the same.
+        bound is within the slacked k-th distance; a row scores the same
+        bits in a chunk as in its own leaf.  The nodes opened are those
+        bounded within the slacked k-th distance: no child's bound is
+        below its parent's, so best-first opens the same.
 
         Args:
             query: the (multipoint) query to rank by.
@@ -256,7 +255,7 @@ class HybridTree:
         held, scored = np.empty(0, dtype=np.intp), np.empty(0)
         kth, position, width = math.inf, 0, 8
         while True:
-            reach = np.searchsorted(sorted_bounds, prune_threshold(prune_threshold(kth)), "right")
+            reach = np.searchsorted(sorted_bounds, prune_threshold(kth), "right")
             if position >= reach:
                 break
             capped = np.searchsorted(read, read[position] - sizes[position] + tile_rows, "right")
@@ -272,14 +271,11 @@ class HybridTree:
                 held, scored = held[keep], scored[keep]
             position, width = stop, 2 * width
 
-        held_leaves = np.unique(np.searchsorted(leaf_starts, held, side="right") - 1)
-        runs = [self.rows[self.start[leaf] : self.stop[leaf]] for leaf in self.leaves[held_leaves]]
-        scored = np.concatenate([np.asarray(query.distances(self.vectors[rows])) for rows in runs])
-        ids = np.concatenate(runs)
+        ids = self.rows[held]
         top = exact_top_k(scored, k, tie_break=ids)
         # Open up to the slacked k-th distance: a node bounded *at* it can hold
         # a tied row with a smaller id, and a bound can overshoot by a few ulps.
-        cut = prune_threshold(float(scored[top[-1]])) if top.shape[0] == k else math.inf
+        cut = prune_threshold(kth)
         opened = np.flatnonzero(bounds <= cut)
         opened_ids = opened.tolist()
         if faults_active():

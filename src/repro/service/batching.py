@@ -18,9 +18,9 @@ executor never has to reconcile structurally different scans.
 
 **Exactness contract.**  Batching changes *when* a query runs and what
 else shares its database pass — never its result.  Exact distances are
-always computed through each query's own compiled kernels (whose
-row-subset evaluations are bitwise identical regardless of what else
-is in the batch); cross-query work sharing happens only in the
+always computed through each query's own compiled kernels, where a
+row's distance depends on the row alone, never on what else is in the
+batch or the tile; cross-query work sharing happens only in the
 slack-protected level-0 bounds.  Every page is therefore byte-identical
 to per-query serial execution under the shared ``(distance, id)``
 tie-break.

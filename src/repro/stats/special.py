@@ -266,6 +266,10 @@ def inverse_regularized_incomplete_beta(a: float, b: float, probability: float) 
     """Return ``x`` such that ``I_x(a, b) = probability``.
 
     Used to evaluate F quantiles through the beta/F change of variables.
+    A root above 1/2 is solved in the complementary variable through
+    ``I_x(a, b) = 1 - I_{1-x}(b, a)``: bisection converges relative to
+    the variable it works in, and near 1 (where ``I_x`` is steepest for
+    ``b < 1``) a few ulps of ``x`` move ``I_x`` by more than 1e-9.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {probability}")
@@ -273,6 +277,8 @@ def inverse_regularized_incomplete_beta(a: float, b: float, probability: float) 
         return 0.0
     if probability == 1.0:
         return 1.0
-    return _bisect_refine(
-        lambda x: regularized_incomplete_beta(a, b, x), probability, 0.0, 1.0
-    )
+    if probability > regularized_incomplete_beta(a, b, 0.5):
+        return 1.0 - _bisect_refine(
+            lambda y: regularized_incomplete_beta(b, a, y), 1.0 - probability, 0.0, 0.5
+        )
+    return _bisect_refine(lambda x: regularized_incomplete_beta(a, b, x), probability, 0.0, 0.5)

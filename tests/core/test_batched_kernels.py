@@ -1,12 +1,11 @@
 """Batched scan kernels: bitwise identity with their solo counterparts.
 
 The micro-batching executor may only coalesce queries because the
-kernel layer guarantees *bitwise* reproducibility: scoring a query
-inside a batch makes exactly the same per-tile kernel calls as scoring
-it alone.  That holds structurally — `batch_tile_bounds` is a pure
-function of the matrix geometry, never of the batch — and these tests
-pin the structure and the resulting bytes, including the degenerate
-tail shapes where a naive tiling would change BLAS code paths.
+kernel layer guarantees *bitwise* reproducibility: a row's distances
+depend on the row alone, so scoring a query inside a batch, in row
+tiles, gives the bytes of scoring it alone over the whole matrix.
+These tests pin the tiling and the resulting bytes, including a tail
+tile of one row.
 """
 
 from __future__ import annotations
@@ -15,47 +14,52 @@ import numpy as np
 import pytest
 
 from repro.core import kernels as kernels_module
-from repro.core.kernels import (
-    batch_tile_bounds,
-    batched_per_cluster_distances,
-    compile_query,
-)
+from repro.core.kernels import batched_per_cluster_distances, compile_query
 from repro.core.progressive import exact_top_k
 from repro.parallel import scan_shard_topk, scan_shard_topk_batch
 
 from .test_kernels import random_query
 
 
+class _TileRecorder:
+    """Stands in for a compiled query and records the row tiles the
+    batched scorer hands it, as ``(start, stop)`` row ranges."""
+
+    size = 1
+
+    def __init__(self) -> None:
+        self.tiles = []
+
+    def per_cluster_distances(self, block):
+        self.tiles.append((int(block[0, 0]), int(block[-1, 0]) + 1))
+        return np.zeros((1, block.shape[0]))
+
+
+def batch_tiles(n, p):
+    recorder = _TileRecorder()
+    database = np.zeros((n, p))
+    database[:, 0] = np.arange(n)
+    batched_per_cluster_distances([recorder], database)
+    return recorder.tiles
+
+
 class TestBatchTileBounds:
     @pytest.mark.parametrize("n,p", [(1, 4), (7, 3), (1000, 16), (50_000, 64)])
     def test_tiles_cover_rows_contiguously(self, n, p):
-        bounds = batch_tile_bounds(n, p)
+        bounds = batch_tiles(n, p)
         assert bounds[0][0] == 0
         assert bounds[-1][1] == n
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
             assert stop == start
 
-    def test_short_tail_is_merged_into_the_previous_tile(self):
-        tile = kernels_module._BATCH_TILE_ELEMENTS // 64
-        bounds = batch_tile_bounds(tile + 1, 64)
-        # Not a 1-row trailing tile (whose GEMV would take a different
-        # BLAS accumulation path than the same row inside a panel).
-        assert bounds == [(0, tile + 1)]
-
     def test_exact_multiple_keeps_full_tiles(self):
         tile = kernels_module._BATCH_TILE_ELEMENTS // 32
-        bounds = batch_tile_bounds(3 * tile, 32)
+        bounds = batch_tiles(3 * tile, 32)
         assert bounds == [(0, tile), (tile, 2 * tile), (2 * tile, 3 * tile)]
 
-    def test_every_tile_is_at_least_full_height(self):
-        tile = kernels_module._BATCH_TILE_ELEMENTS // 48
-        for n in (2 * tile - 1, 2 * tile + 1, 5 * tile + tile // 2):
-            for start, stop in batch_tile_bounds(n, 48):
-                assert stop - start >= tile
-
     def test_wide_rows_shrink_the_tile(self):
-        narrow = batch_tile_bounds(100_000, 8)
-        wide = batch_tile_bounds(100_000, 512)
+        narrow = batch_tiles(4096, 8)
+        wide = batch_tiles(4096, 512)
         assert len(wide) > len(narrow)
 
 
@@ -98,6 +102,23 @@ class TestBatchedPerClusterDistances:
             together = batched_per_cluster_distances(queries, database)
             for alone, inside in zip(solo, together):
                 assert alone.tobytes() == inside.tobytes(), f"n={n}"
+
+    @pytest.mark.parametrize("scheme", ["diagonal", "inverse"])
+    def test_a_one_row_tail_tile_equals_the_full_scan(self, scheme, monkeypatch):
+        """The last tile holds one row; every entry, that row's too,
+        must be the bytes of one call over the whole matrix."""
+        monkeypatch.setattr(kernels_module, "_BATCH_TILE_ELEMENTS", 1 << 10)
+        rng = np.random.default_rng(22)
+        p = 8
+        database = np.round(3.0 * rng.standard_normal((3 * ((1 << 10) // p) + 1, p)), 2)
+        queries = [
+            compile_query(random_query(rng, scheme, g=g, p=p)) for g in (1, 3)
+        ]
+        for compiled, matrix in zip(
+            queries, batched_per_cluster_distances(queries, database)
+        ):
+            full = compiled.per_cluster_distances(database)
+            assert matrix.tobytes() == full.tobytes()
 
     def test_empty_batch_is_fine(self):
         assert batched_per_cluster_distances([], np.zeros((5, 3))) == []

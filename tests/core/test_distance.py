@@ -172,7 +172,7 @@ class TestDisjunctiveQuery:
         points = rng.uniform(-1.0, 1.0, (50, 2))
         true_distances = query.distances(points)
         # Per-point lower bounds: zero (a box containing each center).
-        bound = query.lower_bound_from_center_distance(np.zeros(2))
+        bound = query.combine_per_cluster(np.zeros((2, 1)))
         assert np.all(bound <= true_distances + 1e-9)
 
     def test_weights_property(self):

@@ -157,6 +157,24 @@ class TestByteIdenticalTopK:
         np.testing.assert_array_equal(result.indices, ref_ids)
         np.testing.assert_array_equal(result.distances, ref_distances)
 
+    @pytest.mark.parametrize("k", [20, 64])
+    def test_duplicate_heavy_rows_match_the_full_scan_bits(self, database, k):
+        """Quantised rows, most of them copies: every refine chunk must
+        score a row with the full scan's bits, so the page is exactly
+        ``exact_top_k(query.distances(X), k)``, ties and all."""
+        rng = np.random.default_rng(29)
+        rows = np.round(database, 1)
+        rows[rng.choice(N, 3 * N // 4)] = rows[rng.choice(N, 3 * N // 4)]
+        for schemes in (["inverse"] * 3, ["inverse"] * 6):
+            query = feedback_query(rows, rng, schemes)
+            with use_progressive(True, min_rows=256):
+                result = progressive_topk(rows, query, k)
+            assert result is not None
+            distances = query.distances(rows)
+            top = exact_top_k(distances, k)
+            assert result.indices.tolist() == top.tolist()
+            assert result.distances.tobytes() == distances[top].tobytes()
+
     def test_pca_reduced_basis(self, database):
         """Theorem 1: the whole contract survives a PCA projection."""
         from repro.core.pca import PCA

@@ -91,7 +91,7 @@ class ReferenceHybridTree:
                     per_point[position] = float(np.sum(diagonal * delta**2))
                 else:
                     per_point[position] = lambda_min * float(np.sum(delta**2))
-            return float(query.lower_bound_from_center_distance(per_point)[0])
+            return float(query.combine_per_cluster(per_point[:, None])[0])
 
         def kth_cut() -> float:
             # Open nodes bounded at or just above the k-th (distance, id).

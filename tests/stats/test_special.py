@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.special import (
@@ -117,6 +117,7 @@ class TestInverses:
         st.floats(min_value=0.3, max_value=25.0),
         st.floats(min_value=0.001, max_value=0.999),
     )
+    @example(21.0, 0.30078125, 0.99609375)
     @settings(max_examples=150, deadline=None)
     def test_beta_inverse_roundtrip(self, a, b, probability):
         x = inverse_regularized_incomplete_beta(a, b, probability)
