@@ -244,6 +244,11 @@ class _FusedDiagonal:
     every cluster while hot.  Each GEMV runs over a multiple of
     ``_GEMV_ROWS`` rows, so no row lands in a short tail block and a
     row's bits do not depend on the tiling or on the rows around it.
+
+    A float32 tile (a store shard) is cast to float64 once for all
+    clusters, an exact cast, and each cluster subtracts its centre
+    pre-tiled to the tile's length: a same-dtype, same-shape subtract
+    instead of a mixed-dtype broadcast.  float64 rows are read in place.
     """
 
     def __init__(self, kernels: Sequence[DiagonalKernel], rows: Sequence[int]) -> None:
@@ -254,14 +259,25 @@ class _FusedDiagonal:
     def write_into(self, out: np.ndarray, database: np.ndarray) -> None:
         n, p = database.shape
         tile = max(1, _DIAGONAL_TILE_ELEMENTS // max(1, p) // _GEMV_ROWS) * _GEMV_ROWS
-        buffer = np.zeros((min(tile, -(-n // _GEMV_ROWS) * _GEMV_ROWS), p))
+        height = min(tile, -(-n // _GEMV_ROWS) * _GEMV_ROWS)
+        buffer = np.zeros((height, p))
+        cast = database.dtype != np.float64
+        if cast:
+            rows64 = np.empty((height, p))
+            centers = np.tile(self.centers, height)
         for start in range(0, n, tile):
             stop = min(start + tile, n)
             rows = stop - start
             scratch = buffer[: -(-rows // _GEMV_ROWS) * _GEMV_ROWS]
+            if cast:
+                rows64[:rows] = database[start:stop]
+                source, target = rows64[:rows].reshape(-1), scratch[:rows].reshape(-1)
+            else:
+                source, target = database[start:stop], scratch[:rows]
             for position, row in enumerate(self.rows):
-                np.subtract(database[start:stop], self.centers[position], out=scratch[:rows])
-                np.multiply(scratch[:rows], scratch[:rows], out=scratch[:rows])
+                center = centers[position, : rows * p] if cast else self.centers[position]
+                np.subtract(source, center, out=target)
+                np.multiply(target, target, out=target)
                 out[row, start:stop] = (scratch @ self.diagonals[position])[:rows]
 
 

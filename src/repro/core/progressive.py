@@ -55,7 +55,7 @@ import numpy as np
 
 from ..obs import add_event, current_tracer
 from . import kernels as _kernels
-from .kernels import CholeskyKernel, CompiledQuery, DiagonalKernel, ensure_compiled
+from .kernels import _GEMM_ROWS, CholeskyKernel, CompiledQuery, DiagonalKernel, ensure_compiled
 
 __all__ = [
     "exact_top_k",
@@ -84,8 +84,9 @@ _MIN_DIMENSION = 16
 
 #: Pruning slack: a candidate is discarded only when its lower bound
 #: exceeds ``tau * (1 + _RELATIVE_SLACK) + _ABSOLUTE_SLACK``.  The
-#: bound arithmetic (eigen-basis) differs from the exact path
-#: (Cholesky), so bounds can overshoot true distances by a few ulps;
+#: bound arithmetic (the expanded ``x·T − c·T`` in a whitened basis)
+#: differs from the exact kernels, so bounds can overshoot true
+#: distances by a few ulps;
 #: the slack keeps such overshoot from ever pruning a true neighbour.
 _RELATIVE_SLACK = 1e-9
 _ABSOLUTE_SLACK = 1e-12
@@ -96,18 +97,17 @@ _PLAN_ATTRIBUTE = "_prefix_plan"
 #: Rows sampled (strided) to estimate per-coordinate mass for ordering.
 _SAMPLE_ROWS = 256
 
-#: Minimum refine-block size; blocks also scale with k.
-_MIN_REFINE_BLOCK = 256
+#: Per-plan cap on cached per-database coordinate orders (each shard of
+#: a sharded scan keys its own).
+_MAX_ORDERS = 8
 
-#: Per-plan cap on cached per-database scan contexts (each shard of a
-#: sharded scan keys its own context).
-_MAX_CONTEXTS = 8
-
-#: Target element count of one batched level-0 product tile
-#: ``(rows, Σ_i g_i·t0)`` — large enough that the per-tile Python
-#: bookkeeping amortizes, small enough that the buffer stays far from
-#: memory pressure.
-_BATCH_LEVEL0_TILE_ELEMENTS = 1 << 21
+#: Rows per filter tile: the float64 copy of a tile and its prefix
+#: product stay cache-sized, and both buffers are reused across tiles.
+#: At one GEMM height a tile's product stays on OpenBLAS's fast
+#: small-matrix path (under about 10⁶ multiply-adds) for up to 40
+#: stacked columns; four GEMM heights made a 50k-row level-0 pass at
+#: 20 columns 1.6× slower.
+_TILE_ROWS = _GEMM_ROWS
 
 _UNSET = object()
 
@@ -144,9 +144,9 @@ def exact_top_k(
 def prune_threshold(value: float) -> float:
     """A cut just above ``value``: prune only bounds strictly beyond it.
 
-    Lower bounds are computed in a different basis (eigen) than exact
-    distances (Cholesky), so a bound can exceed the distance it bounds
-    by a few ulps of float error; comparing bounds against this slacked
+    Lower bounds are computed in the expanded whitened form, not by the
+    exact kernels, so a bound can exceed the distance it bounds by a
+    few ulps of float error; comparing bounds against this slacked
     threshold instead of ``value`` itself keeps that error from ever
     pruning a true neighbour.
     """
@@ -168,19 +168,28 @@ def default_schedule(dimension: int) -> Tuple[int, ...]:
 
 
 class _DiagonalPrefix:
-    """Coordinate-subset lower bounds for a diagonal ``S⁻¹``.
+    """Coordinate-prefix lower bounds for a diagonal ``S⁻¹ = diag(w)``.
 
-    The basis is already diagonal: ``d² = Σ_j w_j (x_j − c_j)²`` with
-    ``w_j ≥ 0``, so any subset of coordinates lower-bounds the total.
+    ``diag(w)`` is the whitening ``T = diag(√w)``: column ``j`` of ``T``
+    is the unit vector ``e_j`` scaled by ``√w_j``, so the diagonal
+    cluster's prefix columns join the same stacked GEMM as the
+    eigen-whitened ones.  Only ``√w`` is stored; the columns a prefix
+    range needs are built when it is scanned.
     """
 
     def __init__(self, kernel: DiagonalKernel) -> None:
         self.center = kernel.center
-        self.weights = np.maximum(kernel.diagonal, 0.0)
+        self.scales = np.sqrt(np.maximum(kernel.diagonal, 0.0))
+
+    def columns(self, coordinates: np.ndarray) -> np.ndarray:
+        """The ``(p, len(coordinates))`` columns of ``T`` in that order."""
+        out = np.zeros((self.center.shape[0], coordinates.shape[0]))
+        out[coordinates, np.arange(coordinates.shape[0])] = self.scales[coordinates]
+        return out
 
     def data_order(self, sample: np.ndarray) -> np.ndarray:
-        centered = sample - self.center
-        mass = self.weights * np.mean(centered * centered, axis=0)
+        whitened = (sample - self.center) * self.scales
+        mass = np.mean(whitened * whitened, axis=0)
         return np.argsort(-mass, kind="stable")
 
 
@@ -203,87 +212,73 @@ class _WhitenedPrefix:
             eigenvectors[:, order] * np.sqrt(eigenvalues)
         )
 
+    def columns(self, coordinates: np.ndarray) -> np.ndarray:
+        """The ``(p, len(coordinates))`` columns of ``T`` in that order."""
+        return self.transform[:, coordinates]
+
     def data_order(self, sample: np.ndarray) -> np.ndarray:
         transformed = (sample - self.center) @ self.transform
         mass = np.mean(transformed * transformed, axis=0)
         return np.argsort(-mass, kind="stable")
 
 
+def _prefix_sums(
+    vectors: np.ndarray,
+    shift: np.ndarray,
+    stacked: np.ndarray,
+    offsets: np.ndarray,
+    width: int,
+    index: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Sums of squared whitened coordinates, ``width`` columns a group.
+
+    Computes ``y = (x − shift)·stacked − offsets`` for every row ``x``
+    of ``vectors`` (or of ``vectors[index]``) and returns the
+    ``(groups, N)`` sums of ``y²`` over each run of ``width`` consecutive
+    columns — one group per cluster.  Rows go through in tiles of at
+    most ``_TILE_ROWS``: each tile is copied to float64 once and centred
+    in place, multiplied by the whole stacked operand in one GEMM, and
+    its groups are summed by in-order column adds, all in buffers
+    reused across tiles.  The expanded ``x·T − c·T`` form perturbs a
+    bound by float cancellation noise only, kept small by the shared
+    ``shift`` (a point near the clusters), and bounds feed pruning
+    decisions through the slacked threshold, never a returned distance.
+    """
+    n = vectors.shape[0] if index is None else index.shape[0]
+    groups = stacked.shape[1] // width
+    out = np.empty((groups, n))
+    tile = min(n, _TILE_ROWS)
+    centered = np.empty((tile, stacked.shape[0]))
+    product = np.empty((tile, stacked.shape[1]))
+    sums = np.empty((tile, groups))
+    # Flat, pre-tiled operands: a same-shape subtract over the whole
+    # tile instead of a per-row broadcast.
+    tiled_shift = np.tile(shift, tile)
+    tiled_offsets = np.tile(offsets, tile)
+    for start in range(0, n, tile):
+        stop = min(start + tile, n)
+        height = stop - start
+        rows = centered[:height]
+        rows[...] = vectors[start:stop] if index is None else vectors[index[start:stop]]
+        flat = rows.reshape(-1)
+        flat -= tiled_shift[: flat.shape[0]]
+        block = product[:height]
+        np.matmul(rows, stacked, out=block)
+        flat = block.reshape(-1)
+        flat -= tiled_offsets[: flat.shape[0]]
+        np.multiply(flat, flat, out=flat)
+        terms = block.reshape(height, groups, width)
+        total = sums[:height]
+        np.copyto(total, terms[:, :, 0])
+        for column in range(1, width):
+            total += terms[:, :, column]
+        out[:, start:stop] = total.T
+    return out
+
+
 # ----------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------
-
-
-class _ScanContext:
-    """Per-(plan, database) filter operands, built once and reused.
-
-    Holds the data-aware coordinate orders and, for the whitened
-    clusters, one *stacked* transform slice per schedule range so a
-    whole filter level is a single GEMM over the raw rows with the
-    per-cluster center projections folded into one offset vector
-    (``y = x·C − c·C``).  The expanded form perturbs bound values by
-    float cancellation noise only — bounds feed pruning decisions
-    through the slacked threshold, never a distance that gets returned.
-
-    Diagonal clusters have no cheap prefix: their full scan is already
-    memory-bound O(N·p), and a column subset touches the same cache
-    lines.  Mixed queries therefore score diagonal clusters *exactly*
-    in the first filter level (an exact value is the tightest possible
-    "bound"; later levels add zero) and the whitened clusters — where
-    the O(N·p²) savings live — carry the truncation.
-    """
-
-    def __init__(self, plan: "ProgressivePlan", vectors: np.ndarray) -> None:
-        self.plan = plan
-        self.orders = plan.sample_orders(vectors)
-        self._whitened = plan._whitened
-        self._diagonal = plan._diagonal
-        self._ranges: dict = {}
-
-    def _stacked_range(self, lo: int, hi: int):
-        cached = self._ranges.get((lo, hi))
-        if cached is None:
-            columns = [
-                prefix.transform[:, self.orders[row][lo:hi]]
-                for row, prefix in self._whitened
-            ]
-            stacked = np.ascontiguousarray(np.concatenate(columns, axis=1))
-            offsets = np.concatenate(
-                [
-                    prefix.center @ cols
-                    for (_, prefix), cols in zip(self._whitened, columns)
-                ]
-            )
-            cached = (stacked, offsets)
-            self._ranges[(lo, hi)] = cached
-        return cached
-
-    def prefix_distances(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """``(g, N)`` partial distances over coordinates ``[lo, hi)``.
-
-        Additive across disjoint ranges: whitened clusters accumulate
-        their ordered coordinate blocks; diagonal clusters contribute
-        everything at ``lo == 0`` and zero afterwards.
-        """
-        out = np.empty((self.plan.size, rows.shape[0]))
-        if self._whitened:
-            stacked, offsets = self._stacked_range(lo, hi)
-            product = rows @ stacked
-            product -= offsets
-            np.multiply(product, product, out=product)
-            sums = product.reshape(rows.shape[0], len(self._whitened), hi - lo).sum(
-                axis=2
-            )
-            for position, (row, _) in enumerate(self._whitened):
-                out[row] = sums[:, position]
-        for row, prefix in self._diagonal:
-            if lo == 0:
-                centered = rows - prefix.center
-                np.multiply(centered, centered, out=centered)
-                out[row] = centered @ prefix.weights
-            else:
-                out[row] = 0.0
-        return out
 
 
 class ProgressivePlan:
@@ -292,7 +287,10 @@ class ProgressivePlan:
     Built once per compiled query (memoized alongside the kernels) so
     the eigen-decompositions are paid once per cluster state — shared
     across feedback rounds, shards and sessions exactly like the
-    kernels themselves.
+    kernels themselves.  A filter level stacks every cluster's columns
+    for its coordinate range into one ``(p, g·w)`` operand, so it is a
+    single GEMM per row tile whatever mix of diagonal and whitened
+    clusters the query holds.
     """
 
     def __init__(self, compiled: CompiledQuery) -> None:
@@ -307,59 +305,68 @@ class ProgressivePlan:
             else:  # pragma: no cover - plan_for filters these out
                 raise TypeError(f"no prefix evaluator for {kernel!r}")
         self.prefixes = prefixes
-        self._whitened = [
-            (row, prefix)
-            for row, prefix in enumerate(prefixes)
-            if isinstance(prefix, _WhitenedPrefix)
-        ]
-        self._diagonal = [
-            (row, prefix)
-            for row, prefix in enumerate(prefixes)
-            if isinstance(prefix, _DiagonalPrefix)
-        ]
-        self._context_lock = threading.Lock()
-        self._contexts: "OrderedDict[Tuple[int, int], _ScanContext]" = OrderedDict()
+        #: The point filter tiles are centred on (the mean of the cluster
+        #: centres, as in the fused whitening kernel): it keeps the
+        #: cancellation of ``x·T − c·T`` to the data's spread around the
+        #: clusters, not its distance from the origin.
+        self.shift = np.mean([prefix.center for prefix in prefixes], axis=0)
+        self._orders_lock = threading.Lock()
+        self._orders: "OrderedDict[Tuple[int, int], List[np.ndarray]]" = OrderedDict()
 
     @property
     def size(self) -> int:
         """Number of clusters."""
         return len(self.prefixes)
 
-    def scan_context(self, vectors: np.ndarray) -> _ScanContext:
-        """The cached :class:`_ScanContext` for this database (or shard).
+    def operands(self, vectors: np.ndarray, lo: int, hi: int, shift: np.ndarray):
+        """``(stacked, offsets)`` of coordinates ``[lo, hi)`` over ``vectors``.
 
-        Keyed by array identity: each shard of a sharded scan gets its
-        own context (its own sample-derived coordinate orders).  A
-        stale key after an id reuse merely yields suboptimal orders —
-        every order is a valid bound permutation — so the cache needs
-        no invalidation protocol, only the LRU size cap.
+        ``stacked`` holds every cluster's columns of ``T`` for that range
+        of its :meth:`orders`, side by side; ``offsets`` the matching
+        ``(c_i − shift)·T_i``.
         """
-        key = (id(vectors), vectors.shape[0])
-        with self._context_lock:
-            context = self._contexts.get(key)
-            if context is None:
-                context = _ScanContext(self, vectors)
-                self._contexts[key] = context
-                while len(self._contexts) > _MAX_CONTEXTS:
-                    self._contexts.popitem(last=False)
-            else:
-                self._contexts.move_to_end(key)
-            return context
+        columns = [
+            prefix.columns(order[lo:hi])
+            for prefix, order in zip(self.prefixes, self.orders(vectors))
+        ]
+        offsets = [(prefix.center - shift) @ cols for prefix, cols in zip(self.prefixes, columns)]
+        return np.concatenate(columns, axis=1), np.concatenate(offsets)
 
-    def sample_orders(self, vectors: np.ndarray) -> List[np.ndarray]:
-        """Data-aware coordinate orders from a strided database sample.
+    def prefix_distances(
+        self, vectors: np.ndarray, lo: int, hi: int, index: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(g, N)`` partial distances over coordinates ``[lo, hi)``.
 
-        Orders each cluster's coordinates by observed mass ``E[y_j²]``
-        (largest first) so the first prefix soaks up as much of the
-        true distance as this database allows.  Affects pruning power
-        only — any permutation yields valid bounds.
+        Additive across disjoint ranges, for every cluster kind.  Scores
+        ``vectors[index]`` when ``index`` is given, tile by tile.
+        """
+        stacked, offsets = self.operands(vectors, lo, hi, self.shift)
+        return _prefix_sums(vectors, self.shift, stacked, offsets, hi - lo, index)
+
+    def orders(self, vectors: np.ndarray) -> List[np.ndarray]:
+        """Data-aware coordinate orders for this database (or shard).
+
+        Orders each cluster's coordinates by the mass ``E[y_j²]`` observed
+        on a strided sample of ``vectors`` (largest first), so the first
+        prefix soaks up as much of the true distance as this database
+        allows.  Cached by array identity: each shard of a sharded scan
+        gets its own.  Orders affect pruning power only — any
+        permutation yields valid bounds — so a stale key after an id
+        reuse needs no invalidation protocol, only the LRU size cap.
         """
         n = vectors.shape[0]
-        if n <= _SAMPLE_ROWS:
-            sample = vectors
-        else:
-            sample = vectors[:: n // _SAMPLE_ROWS][:_SAMPLE_ROWS]
-        return [prefix.data_order(sample) for prefix in self.prefixes]
+        key = (id(vectors), n)
+        with self._orders_lock:
+            orders = self._orders.get(key)
+            if orders is None:
+                sample = vectors if n <= _SAMPLE_ROWS else vectors[:: n // _SAMPLE_ROWS]
+                orders = [prefix.data_order(sample[:_SAMPLE_ROWS]) for prefix in self.prefixes]
+                self._orders[key] = orders
+                while len(self._orders) > _MAX_ORDERS:
+                    self._orders.popitem(last=False)
+            else:
+                self._orders.move_to_end(key)
+            return orders
 
 
 def plan_for(compiled: CompiledQuery) -> Optional[ProgressivePlan]:
@@ -463,7 +470,6 @@ def _scan_from_level0(
     query,
     combine,
     plan: ProgressivePlan,
-    context: _ScanContext,
     k: int,
     per_cluster0: np.ndarray,
 ) -> ProgressiveResult:
@@ -478,8 +484,12 @@ def _scan_from_level0(
     schedule = plan.schedule
     lower = np.asarray(combine(per_cluster0))
 
-    # --- Seed the threshold: refine the k most promising candidates.
-    seed = np.argpartition(lower, k - 1)[:k]
+    # --- Seed the threshold: refine the most promising candidates, one
+    # GEMM block of them — the same single kernel call as k rows, and a
+    # far tighter first threshold — but at least k and, on a small scan,
+    # at most an eighth of its rows.
+    size = max(k, min(_GEMM_ROWS, n // 8))
+    seed = np.argpartition(lower, size - 1)[:size]
     seed_distances = np.asarray(query.distances(vectors[seed]))
     top = exact_top_k(seed_distances, k, tie_break=seed)
     best_ids = seed[top]
@@ -500,9 +510,7 @@ def _scan_from_level0(
     for lo, hi in zip(schedule[:-2], schedule[1:-1]):
         if alive.shape[0] == 0:
             break
-        per_cluster_alive = per_cluster_alive + context.prefix_distances(
-            vectors[alive], lo, hi
-        )
+        per_cluster_alive += plan.prefix_distances(vectors, lo, hi, index=alive)
         bounds = np.asarray(combine(per_cluster_alive))
         keep = bounds <= prune_threshold(tau)
         alive = alive[keep]
@@ -511,22 +519,22 @@ def _scan_from_level0(
         survivors_per_level.append(int(alive.shape[0]))
 
     # --- Refine: exact distances for survivors, best bounds first, in
-    # blocks; every refined block can shrink tau and prune the rest.
+    # blocks of whole GEMM heights; every refined block can shrink tau
+    # and prune the rest.
     order = np.argsort(bounds, kind="stable")
     alive = alive[order]
     bounds = bounds[order]
-    block = max(_MIN_REFINE_BLOCK, 4 * k)
+    block = -(-4 * k // _GEMM_ROWS) * _GEMM_ROWS
     position = 0
     with current_tracer().span("refine", candidates=int(alive.shape[0])) as span:
-        while position < alive.shape[0]:
-            cut = prune_threshold(tau)
-            if bounds[position] > cut:
-                break  # sorted by bound: everything left is pruned too
-            chunk = alive[position : position + block]
-            chunk = chunk[bounds[position : position + block] <= cut]
-            position += block
-            if chunk.shape[0] == 0:
-                continue
+        while True:
+            # Sorted by bound: the rows within the cut are a prefix.
+            within = int(np.searchsorted(bounds, prune_threshold(tau), side="right"))
+            stop = min(position + block, within)
+            if stop <= position:
+                break
+            chunk = alive[position:stop]
+            position = stop
             chunk_distances = np.asarray(query.distances(vectors[chunk]))
             refined += int(chunk.shape[0])
             merged_ids = np.concatenate([best_ids, chunk])
@@ -572,56 +580,24 @@ def progressive_topk(vectors: np.ndarray, query, k: int) -> Optional[Progressive
 
 
 def _batched_prefix_level0(
-    vectors: np.ndarray,
-    plans: Sequence[ProgressivePlan],
-    contexts: Sequence[_ScanContext],
+    vectors: np.ndarray, plans: Sequence[ProgressivePlan]
 ) -> List[np.ndarray]:
     """Level-0 prefix values for several plans in one stacked pass.
 
-    Concatenates every plan's ``(0, t0)`` whitened operands into one
-    wide ``(p, Σ_i m_i·t0_i)`` matrix so each database tile feeds a
-    single GEMM covering the whole micro-batch, then splits the
-    products back per plan (the same expanded ``x·C − c·C`` arithmetic
-    as :meth:`_ScanContext.prefix_distances`).  Diagonal clusters are
-    scored exactly on the same hot tile.  Values can differ from
-    :meth:`_ScanContext.prefix_distances` by summation-order ulps only
-    — they feed the slacked pruning threshold, never a returned
-    distance.
+    Concatenates every plan's ``[0, t0)`` columns into one wide operand
+    so each database tile feeds a single GEMM covering the whole
+    micro-batch (every plan scans the same matrix, so they share the
+    dimension and therefore ``t0``), then splits the per-cluster rows
+    back per plan.  The tiles are centred on the mean of the plans'
+    shifts; any shared point gives valid bounds.
     """
-    n = vectors.shape[0]
-    outs = [np.empty((plan.size, n)) for plan in plans]
-    entries = []  # (out, plan, column offset, width)
-    blocks: List[np.ndarray] = []
-    offset_parts: List[np.ndarray] = []
-    column = 0
-    for out, plan, context in zip(outs, plans, contexts):
-        t0 = plan.schedule[0]
-        stacked, offsets = context._stacked_range(0, t0)
-        width = stacked.shape[1]
-        blocks.append(stacked)
-        offset_parts.append(offsets)
-        entries.append((out, plan, column, width, t0))
-        column += width
-    big = np.ascontiguousarray(np.concatenate(blocks, axis=1))
-    offsets_all = np.concatenate(offset_parts)
-    tile = max(1, _BATCH_LEVEL0_TILE_ELEMENTS // max(1, big.shape[1]))
-    for start in range(0, n, tile):
-        stop = min(start + tile, n)
-        rows = vectors[start:stop]
-        product = rows @ big
-        product -= offsets_all
-        np.multiply(product, product, out=product)
-        for out, plan, lo, width, t0 in entries:
-            sums = product[:, lo : lo + width].reshape(
-                stop - start, len(plan._whitened), t0
-            ).sum(axis=2)
-            for position, (row, _) in enumerate(plan._whitened):
-                out[row, start:stop] = sums[:, position]
-            for row, prefix in plan._diagonal:
-                centered = rows - prefix.center
-                np.multiply(centered, centered, out=centered)
-                out[row, start:stop] = centered @ prefix.weights
-    return outs
+    t0 = plans[0].schedule[0]
+    shift = np.mean([plan.shift for plan in plans], axis=0)
+    stacked, offsets = zip(*(plan.operands(vectors, 0, t0, shift) for plan in plans))
+    sums = _prefix_sums(
+        vectors, shift, np.concatenate(stacked, axis=1), np.concatenate(offsets), t0
+    )
+    return np.split(sums, np.cumsum([plan.size for plan in plans])[:-1])
 
 
 def progressive_topk_batch(
@@ -657,18 +633,10 @@ def progressive_topk_batch(
             prepared.append((index, prep[0], prep[1]))
     if not prepared:
         return results
-    plans = [plan for _, _, plan in prepared]
-    contexts = [plan.scan_context(vectors) for plan in plans]
-    level0 = _batched_prefix_level0(vectors, plans, contexts)
-    for position, (index, combine, plan) in enumerate(prepared):
+    level0 = _batched_prefix_level0(vectors, [plan for _, _, plan in prepared])
+    for (index, combine, plan), per_cluster0 in zip(prepared, level0):
         results[index] = _scan_from_level0(
-            vectors,
-            queries[index],
-            combine,
-            plan,
-            contexts[position],
-            ks[index],
-            level0[position],
+            vectors, queries[index], combine, plan, ks[index], per_cluster0
         )
     return results
 

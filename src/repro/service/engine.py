@@ -877,10 +877,11 @@ class RetrievalService:
         self.metrics.observe("ann_search", self._clock() - start)
         self.metrics.increment("ann_node_accesses", result.cost.node_accesses)
         self.metrics.increment("ann_candidates", result.cost.distance_evaluations)
+        # Rows the row budget skipped: the approximate tier's own count,
+        # kept apart from ``candidates_pruned`` (rows an exact filter
+        # proved out of the top k).
         if result.cost.candidates_pruned:
-            self.metrics.increment(
-                "candidates_pruned", result.cost.candidates_pruned
-            )
+            self.metrics.increment("ann_rows_pruned", result.cost.candidates_pruned)
         self.metrics.increment(
             "candidates_refined", result.cost.distance_evaluations
         )

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.core.covariance import get_scheme
 from repro.core.distance import DisjunctiveQuery, QueryPoint
-from repro.core.kernels import compile_query, use_kernels
+from repro.core.kernels import _GEMM_ROWS, compile_query, use_kernels
 from repro.core.progressive import (
     default_schedule,
     exact_top_k,
@@ -205,6 +207,99 @@ class TestByteIdenticalTopK:
         assert result.cost.refine_fraction == 1.0
 
 
+def random_query(rng, rows, kinds):
+    """Clusters centred near random rows: whitened (``"inverse"``) or
+    diagonal, with random well-conditioned inverses."""
+    p = rows.shape[1]
+    points = []
+    for kind in kinds:
+        center = rows[rng.integers(rows.shape[0])].astype(float)
+        center += 0.05 * rng.standard_normal(p)
+        if kind == "diagonal":
+            weights = rng.uniform(0.2, 5.0, p)
+            inverse, diagonal = np.diag(weights), weights
+        else:
+            raw = rng.standard_normal((p + 3, p))
+            inverse, diagonal = raw.T @ raw / (p + 3) + 0.3 * np.eye(p), None
+        points.append(
+            QueryPoint(
+                center=center,
+                inverse=inverse,
+                weight=float(rng.uniform(0.5, 3.0)),
+                diagonal=diagonal,
+            )
+        )
+    return DisjunctiveQuery(points)
+
+
+class TestFilterExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.sampled_from([300, _GEMM_ROWS - 1, _GEMM_ROWS, _GEMM_ROWS + 1, 2_000]),
+        p=hst.sampled_from([16, 20, 32]),
+        kinds=hst.lists(
+            hst.sampled_from(["inverse", "diagonal"]), min_size=1, max_size=5
+        ).map(lambda kinds: ["inverse", *kinds[1:]]),
+        offset=hst.sampled_from([0.0, 1e3]),
+        duplicate_share=hst.sampled_from([0.0, 0.5]),
+        dtype=hst.sampled_from([np.float32, np.float64]),
+        k=hst.integers(1, 40),
+    )
+    def test_pages_and_bits_equal_the_full_scan(
+        self, seed, n, p, kinds, offset, duplicate_share, dtype, k
+    ):
+        """Whatever the cluster mix, row offset, ties, size against one
+        seed block and row dtype: the filtered page is exactly
+        ``exact_top_k(query.distances(X), k)``, ids and distance bits."""
+        rng = np.random.default_rng(seed)
+        rows = np.round(rng.standard_normal((n, p)) / np.sqrt(np.arange(1, p + 1)), 1)
+        copies = int(duplicate_share * n)
+        if copies:
+            rows[rng.choice(n, copies)] = rows[rng.choice(n, copies)]
+        rows = (rows + offset).astype(dtype)
+        k = min(k, (n - 1) // 4)
+        query = random_query(rng, rows, kinds)
+        with use_progressive(True, min_rows=1):
+            result = progressive_topk(rows, query, k)
+        assert result is not None
+        distances = query.distances(rows)
+        top = exact_top_k(distances, k)
+        assert result.indices.tolist() == top.tolist()
+        assert result.distances.tobytes() == distances[top].tobytes()
+
+
+class TestKernelCallShape:
+    def test_seed_is_one_gemm_block_and_refine_blocks_are_gemm_height(
+        self, database, monkeypatch
+    ):
+        """The seed scores ``max(k, min(_GEMM_ROWS, n // 8))`` rows in
+        one call — a full GEMM block once the scan holds eight — and each
+        refine call is one block of whole GEMM heights (only the last may
+        stop short, where the threshold cuts it)."""
+        rng = np.random.default_rng(37)
+        query = feedback_query(database, rng, ["inverse", "diagonal", "inverse"])
+        calls = []
+        original = DisjunctiveQuery.distances
+
+        def spy(self, rows):
+            calls.append(np.asarray(rows).shape[0])
+            return original(self, rows)
+
+        monkeypatch.setattr(DisjunctiveQuery, "distances", spy)
+        rows = np.vstack([database, database[::-1]])  # n // 8 exceeds one GEMM block
+        with use_progressive(True, min_rows=256):
+            result = progressive_topk(rows, query, K)
+        assert result is not None
+        block = -(-4 * K // _GEMM_ROWS) * _GEMM_ROWS
+        seed, refine = calls[0], calls[1:]
+        assert seed == _GEMM_ROWS == max(K, min(_GEMM_ROWS, rows.shape[0] // 8))
+        assert refine, "the fixture must exercise the refine phase"
+        assert all(rows == block for rows in refine[:-1])
+        assert 0 < refine[-1] <= block
+        assert sum(calls) == result.stats.refined
+
+
 class TestConsumerPaths:
     def test_linear_scan_byte_identical_and_cheaper(self, database):
         rng = np.random.default_rng(29)
@@ -307,31 +402,45 @@ class TestConsumerPaths:
 
 class TestBoundSoundness:
     def test_prefix_bounds_never_exceed_exact_distances(self, database):
-        """Every schedule level's combined prefix bound must lower-bound
-        the exact aggregate distance (within the pruning slack) — for
-        whitened *and* diagonal clusters alike."""
-        rng = np.random.default_rng(53)
-        query = feedback_query(
-            database, rng, ["inverse", "diagonal", "inverse"]
-        )
-        compiled = compile_query(query)
-        plan = plan_for(compiled)
-        assert plan is not None
-        rows = database[:512]
-        exact = query.distances(rows)
-        context = plan.scan_context(database)
-        accumulated = None
-        previous = 0
-        for level in plan.schedule:
-            increment = context.prefix_distances(rows, previous, level)
-            accumulated = (
-                increment if accumulated is None else accumulated + increment
+        """Every schedule level's prefix bound must lower-bound the exact
+        distance (within the pruning slack) — per cluster, whitened *and*
+        diagonal alike, and for the combined aggregate — also on rows far
+        from the origin, where the expanded ``x·T − c·T`` form cancels."""
+        for offset in (0.0, 1e3):
+            rows = database + offset
+            rng = np.random.default_rng(53)
+            query = feedback_query(
+                rows, rng, ["inverse", "diagonal", "inverse", "diagonal"]
             )
-            bound = query.combine_per_cluster(accumulated)
-            assert np.all(bound <= prune_threshold(1.0) * np.maximum(exact, 1e-9))
-            previous = level
-        # At the full dimension the whitened bound matches the distance.
-        np.testing.assert_allclose(bound, exact, rtol=1e-6)
+            compiled = compile_query(query)
+            assert [kernel.kind for kernel in compiled.kernels] == [
+                "cholesky", "diagonal", "cholesky", "diagonal"
+            ]
+            plan = plan_for(compiled)
+            assert plan is not None
+            sample = np.arange(512)
+            exact_per_cluster = compiled.per_cluster_distances(rows[sample])
+            exact = query.distances(rows[sample])
+            accumulated = None
+            previous = 0
+            for level in plan.schedule:
+                increment = plan.prefix_distances(rows, previous, level, index=sample)
+                assert np.all(increment >= 0.0)
+                accumulated = (
+                    increment if accumulated is None else accumulated + increment
+                )
+                for bound, distance in zip(accumulated, exact_per_cluster):
+                    assert np.all(
+                        bound <= prune_threshold(1.0) * np.maximum(distance, 1e-9)
+                    )
+                bound = query.combine_per_cluster(accumulated)
+                assert np.all(
+                    bound <= prune_threshold(1.0) * np.maximum(exact, 1e-9)
+                )
+                previous = level
+            # At the full dimension every cluster's bound is its distance.
+            np.testing.assert_allclose(accumulated, exact_per_cluster, rtol=1e-6)
+            np.testing.assert_allclose(bound, exact, rtol=1e-6)
 
     def test_box_bounds_never_exceed_contained_point_distances(self, database):
         """The tree's node boxes (per-axis bound for diagonal clusters,

@@ -170,6 +170,19 @@ class TestBudgetedServing:
             assert tree.row_budget <= scored < 4000
             assert page.quality.estimated_recall == tree.calibrated_recall >= 0.97
 
+    def test_skipped_rows_are_not_counted_as_filter_pruning(self):
+        """Rows the row budget skips have their own counter: an ANN-only
+        service runs no exact filter, so it reports none pruned."""
+        vectors = np.random.default_rng(5).standard_normal((4000, 8))
+        with RetrievalService(vectors, k=10, ann=True, use_index=False) as service:
+            session = service.create_session(3)
+            assert service.query(session, approximate=True).quality.level == "approximate"
+            snapshot = service.metrics_snapshot()
+            counters = snapshot["counters"]
+            assert counters.get("candidates_pruned", 0) == 0
+            assert snapshot["candidates_pruned"] == 0
+            assert counters["ann_rows_pruned"] == 4000 - counters["ann_candidates"] > 0
+
 
 class TestFallback:
     def test_descend_outage_rescues_through_the_exact_scan(self, database):
