@@ -6,9 +6,6 @@ Subcommands:
   collection, printing per-iteration quality (the quickstart, as a CLI).
 * ``compare`` — Qcluster vs the baselines over a query batch.
 * ``disjunctive`` — the Example 3 / Figure 5 scatter demonstration.
-* ``service`` — drive N concurrent simulated users through the
-  :class:`~repro.service.RetrievalService` and print throughput plus
-  the operational metrics snapshot.
 * ``serve`` — stand up the asyncio HTTP front-end
   (:class:`~repro.service.RetrievalServer`) over a generated
   collection, with cross-session query batching on by default;
@@ -20,11 +17,9 @@ Subcommands:
 * ``chaos`` — replay a deterministic feedback workload twice, fault-free
   and under a seeded :class:`~repro.faults.FaultPlan`, and verify the
   resilience contract: every page served under faults is either
-  byte-identical to its fault-free twin or explicitly marked degraded.
-  ``--store`` runs both replays over a memory-mapped feature store so
-  the ``store.*`` fault sites (torn block reads, CRC quarantine) are
-  armed; ``--batching`` routes both replays through the batching
-  executor so the ``batch.execute`` fault site is armed.
+  byte-identical to its fault-free twin or explicitly marked degraded
+  (:mod:`repro.faults.replay`).  The serving mode (store file, batching
+  executor, ANN tier) follows the plan's sites.
 * ``store`` — build a memory-mapped feature store from a generated
   collection (``store build``), re-check every block CRC
   (``store verify``), or dump its header, geometry and block table
@@ -32,9 +27,6 @@ Subcommands:
 * ``figure`` — regenerate any of the paper's tables/figures by id
   (``fig5`` ... ``fig19``, ``table2``, ``table3``, ``headline``),
   optionally exporting CSV.
-* ``bench`` — measure the ANN tier's recall and speedup at its one
-  operating point (the empirical contract behind ``serve --ann``);
-  ``--small`` uses the CI scale.
 * ``export-collection`` — write a procedural collection to disk as a
   PPM directory tree (one subdirectory per category), loadable back via
   :func:`repro.datasets.load_directory_collection`.
@@ -144,84 +136,6 @@ def cmd_disjunctive(args) -> int:
     print(f"points within 1.0 of either center: {n_target}")
     print(f"retrieved by the Equation-5 aggregate: {len(retrieved)}")
     print(f"agreement with the two-ball ground truth: {overlap / n_target:.1%}")
-    return 0
-
-
-def cmd_service(args) -> int:
-    """N concurrent simulated users against one RetrievalService."""
-    import threading
-    import time
-
-    from .retrieval import SimulatedUser
-    from .service import RetrievalService
-
-    if args.users < 1:
-        print(f"--users must be at least 1, got {args.users}", file=sys.stderr)
-        return 2
-    database = _build_database(args)
-    service = RetrievalService(
-        database,
-        k=args.k,
-        capacity=args.capacity,
-        cache_size=args.cache_size,
-        soft_deadline_s=args.deadline,
-        max_workers=args.workers,
-    )
-    rng = np.random.default_rng(args.seed)
-    query_ids = rng.integers(0, database.size, size=args.users)
-    errors: List[BaseException] = []
-
-    def drive(query_id: int) -> None:
-        try:
-            session_id = service.create_session(query_id)
-            user = SimulatedUser(database, database.category_of(query_id))
-            page = service.query(session_id)
-            for _ in range(args.iterations):
-                page = service.query(session_id)  # repeated page fetch: cached
-                judgment = user.judge(page.ids)
-                page = service.feedback(
-                    session_id, judgment.relevant_indices, judgment.scores
-                )
-            service.close(session_id)
-        except BaseException as error:  # surfaced after join
-            errors.append(error)
-
-    start = time.perf_counter()
-    if args.users > 1:
-        threads = [
-            threading.Thread(target=drive, args=(int(query_id),))
-            for query_id in query_ids
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    else:
-        drive(int(query_ids[0]))
-    elapsed = time.perf_counter() - start
-    snapshot = service.metrics_snapshot()
-    service.shutdown()
-    if errors:
-        print(f"{len(errors)} session(s) failed: {errors[0]!r}", file=sys.stderr)
-        return 1
-
-    print(
-        f"served {args.users} sessions x {args.iterations} feedback rounds "
-        f"in {elapsed:.2f}s ({args.users / elapsed:.2f} sessions/sec)"
-    )
-    print()
-    print(f"{'counter':<28} value")
-    for name, value in sorted(snapshot["counters"].items()):
-        print(f"{name:<28} {value}")
-    print(f"{'cache_hit_rate':<28} {snapshot['cache_hit_rate']:.3f}")
-    print(f"{'degradations':<28} {snapshot['degradations']}")
-    print()
-    print(f"{'stage':<16} {'count':>6} {'p50_ms':>8} {'p95_ms':>8} {'max_ms':>8}")
-    for stage, summary in sorted(snapshot["latency"].items()):
-        print(
-            f"{stage:<16} {summary['count']:>6} {summary['p50'] * 1e3:>8.2f} "
-            f"{summary['p95'] * 1e3:>8.2f} {summary['max'] * 1e3:>8.2f}"
-        )
     return 0
 
 
@@ -350,21 +264,21 @@ def cmd_store(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Deterministic fault-plan replay with the byte-identical-or-degraded check."""
-    import tempfile
-    from contextlib import nullcontext
     from pathlib import Path
 
-    from .faults import FaultPlan, activate_faults
+    from .faults import FaultPlan, registered_sites
     from .faults.plans import BUILTIN_PLAN_NAMES, builtin_plan
-    from .retrieval import SimulatedUser
-    from .service import RetrievalService
-
-    # Importing the store package registers the ``store.*`` fault sites
-    # so plans targeting them validate even without ``--store``.
-    from .store import FeatureStore, build_store
+    from .faults.replay import replay
 
     if args.plan_file:
-        plan = FaultPlan.from_json(Path(args.plan_file).read_text())
+        # Every way a plan file can be unusable fails here, before the
+        # fault-free baseline runs.
+        try:
+            plan = FaultPlan.from_json(Path(args.plan_file).read_text())
+            plan.validate_sites(list(registered_sites()))
+        except (OSError, ValueError, TypeError, AttributeError) as error:
+            print(f"unusable plan file {args.plan_file}: {error}", file=sys.stderr)
+            return 2
     elif args.plan in BUILTIN_PLAN_NAMES:
         plan = builtin_plan(args.plan, seed=args.fault_seed)
     else:
@@ -387,145 +301,25 @@ def cmd_chaos(args) -> int:
             tail_sampling=TailSamplingPolicy(keep_probability=0.0),
         )
 
-    database = _build_database(args)
-    rng = np.random.default_rng(args.seed)
-    query_ids = [int(q) for q in rng.integers(0, database.size, size=args.sessions)]
-
-    store_dir = tempfile.TemporaryDirectory() if args.store else None
-    store_path = None
-    if store_dir is not None:
-        # Both replays serve the same store file, so the fault-free
-        # baseline and the faulted run rank identical float32 bytes.
-        store_path = Path(store_dir.name) / "chaos.qcs"
-        build_store(database, store_path, n_shards=args.shards)
-
-    def run_workload(fault_plan, trace_with=None):
-        """One sequential round-robin workload; returns (records, stats)."""
-        records = []
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
-            service = RetrievalService(
-                FeatureStore.open(store_path) if store_path is not None else database,
-                k=args.k,
-                use_index=args.use_index,
-                n_shards=args.shards,
-                capacity=args.capacity,
-                checkpoint_dir=checkpoint_dir,
-                cache_size=args.cache_size,
-                batching=args.batching,
-                ann=args.ann,
-                tracer=trace_with,
-            )
-            context = (
-                activate_faults(fault_plan)
-                if fault_plan is not None
-                else nullcontext(None)
-            )
-            try:
-                with context as active:
-                    session_ids = [
-                        service.create_session(q, session_id=f"chaos-{i}")
-                        for i, q in enumerate(query_ids)
-                    ]
-                    users = [
-                        SimulatedUser(database, database.category_of(q))
-                        for q in query_ids
-                    ]
-                    last_pages = {}
-                    # Round-robin across sessions so a small store
-                    # capacity forces checkpoint evict/restore cycles.
-                    for round_index in range(args.iterations + 1):
-                        for index, session_id in enumerate(session_ids):
-                            record = {"key": (index, round_index)}
-                            try:
-                                if round_index == 0 or index not in last_pages:
-                                    page = service.query(
-                                        session_id, approximate=args.ann
-                                    )
-                                else:
-                                    judgment = users[index].judge(
-                                        last_pages[index].ids
-                                    )
-                                    page = service.feedback(
-                                        session_id,
-                                        judgment.relevant_indices,
-                                        judgment.scores,
-                                        approximate=args.ann,
-                                    )
-                            except Exception as error:
-                                record["error"] = repr(error)
-                            else:
-                                last_pages[index] = page
-                                record["ids"] = page.ids.tobytes()
-                                record["distances"] = page.distances.tobytes()
-                                record["quality"] = page.quality.level
-                                record["reasons"] = page.quality.reasons
-                            records.append(record)
-                    fire_stats = active.stats() if active is not None else None
-            finally:
-                snapshot = service.metrics_snapshot()
-                service.shutdown()
-        return records, fire_stats, snapshot
-
-    try:
-        baseline, _, _ = run_workload(None)
-        faulted, fire_stats, snapshot = run_workload(plan, trace_with=tracer)
-    finally:
-        if store_dir is not None:
-            store_dir.cleanup()
-
-    baseline_errors = sum(1 for record in baseline if "error" in record)
-    if baseline_errors:
+    report = replay(
+        _build_database(args),
+        plan,
+        sessions=args.sessions,
+        rounds=args.iterations,
+        k=args.k,
+        seed=args.seed,
+        shards=args.shards,
+        use_index=args.use_index,
+        tracer=tracer,
+    )
+    if report.baseline_errors:
         print(
-            f"{baseline_errors} step(s) failed in the fault-free baseline",
+            f"{report.baseline_errors} step(s) failed in the fault-free baseline",
             file=sys.stderr,
         )
         return 1
 
-    by_key = {record["key"]: record for record in baseline}
-    violations = []
-    exact_pages = approximate_pages = fallback_pages = 0
-    degraded_pages = errored = excluded = 0
-    diverged = set()
-    for record in faulted:
-        session_index = record["key"][0]
-        if "error" in record:
-            # The caller saw the exception, so nothing was silently
-            # wrong — but the session's feedback trajectory now differs
-            # from the baseline's, so its later pages are incomparable.
-            errored += 1
-            diverged.add(session_index)
-            continue
-        if session_index in diverged:
-            excluded += 1
-            continue
-        reasons = record.get("reasons", ())
-        if record["quality"] == "exact":
-            exact_pages += 1
-            comparable = True
-        elif record["quality"] == "approximate" and "ann_fallback" not in reasons:
-            # The budgeted search is deterministic, so a healthy ANN page
-            # must match the fault-free twin's ANN page byte for byte.
-            approximate_pages += 1
-            comparable = True
-        elif "ann_fallback" in reasons:
-            # The tier failed mid-search and the exact scan rescued the
-            # request — announced on the page, but its content differs
-            # from the twin's ANN page, so the session's feedback
-            # trajectory diverges from here on.
-            fallback_pages += 1
-            diverged.add(session_index)
-            comparable = False
-        else:
-            degraded_pages += 1
-            comparable = False
-        if comparable:
-            twin = by_key[record["key"]]
-            if (
-                record["ids"] != twin["ids"]
-                or record["distances"] != twin["distances"]
-            ):
-                violations.append(record["key"])
-
+    fire_stats, snapshot = report.fires, report.snapshot
     counters = snapshot["counters"]
     print(f"plan: {plan.name or '<unnamed>'} (seed {plan.seed}, {len(plan.specs)} specs)")
     print(f"workload: {args.sessions} sessions x {args.iterations} rounds")
@@ -558,10 +352,10 @@ def cmd_chaos(args) -> int:
     print(f"  {'cache_corruptions':<24} {snapshot['cache']['corruptions']}")
     print()
     print(
-        f"pages: {exact_pages} exact + {approximate_pages} approximate "
-        f"(byte-checked), {fallback_pages} ann-fallback, "
-        f"{degraded_pages} degraded, {errored} errored, "
-        f"{excluded} excluded after divergence"
+        f"pages: {report.exact} exact + {report.approximate} approximate "
+        f"(byte-checked), {report.fallback} ann-fallback, "
+        f"{report.degraded} degraded, {report.errored} errored, "
+        f"{report.excluded} excluded after divergence"
     )
     if tracer is not None:
         from .obs import trace_to_jsonl_lines
@@ -578,7 +372,7 @@ def cmd_chaos(args) -> int:
             f"{tail.get('kept_slow', 0)} slow, {tail.get('dropped', 0)} dropped) "
             f"-> {args.trace_jsonl}"
         )
-        if (degraded_pages or fallback_pages or errored) and not traces:
+        if (report.degraded or report.fallback or report.errored) and not traces:
             print(
                 "VIOLATION: degraded/errored pages occurred but tail sampling "
                 "retained no trace",
@@ -593,10 +387,10 @@ def cmd_chaos(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if violations:
+    if report.violations:
         print(
-            f"VIOLATION: {len(violations)} comparable page(s) differ from the "
-            f"fault-free run: {violations[:10]}",
+            f"VIOLATION: {len(report.violations)} page(s) break the contract: "
+            f"{report.violations[:10]}",
             file=sys.stderr,
         )
         return 1
@@ -760,34 +554,6 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Measure the ANN tier's recall and speedup at its operating point."""
-    import json
-
-    from .experiments.ann import AnnSweepConfig, run_sweep
-
-    config = AnnSweepConfig.small() if args.small else AnnSweepConfig()
-    print(
-        f"measuring the ANN tier over {config.n} rows ({config.dimensions}-d, "
-        f"scheme={config.scheme!r}) ..."
-    )
-    payload = run_sweep(config)
-    print(
-        f"recall {payload['recall_mean']:.3f} (worst query "
-        f"{payload['recall_min']:.2f}, calibrated {payload['calibrated_recall']:.3f}) "
-        f"scoring {payload['candidate_fraction']:.3f} of the rows "
-        f"(budget {payload['row_budget']} of {payload['n']}), "
-        f"{payload['speedup']:.2f}x over the exact scan; contract floors are "
-        f"0.9 mean and 0.75 worst query (benchmarks/baselines/ann.json)"
-    )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_export_collection(args) -> int:
     """Write a generated collection as a PPM directory tree."""
     from pathlib import Path
@@ -840,21 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--queries", type=int, default=10)
     compare.set_defaults(func=cmd_compare)
-
-    service = subparsers.add_parser(
-        "service", help="concurrent multi-session service demo with metrics"
-    )
-    add_collection_arguments(service)
-    service.add_argument("--users", type=int, default=8, help="concurrent sessions")
-    service.add_argument("--capacity", type=int, default=256, help="max live sessions")
-    service.add_argument("--cache-size", type=int, default=128, help="result-cache pages")
-    service.add_argument(
-        "--deadline", type=float, default=None, help="per-query soft deadline (s)"
-    )
-    service.add_argument(
-        "--workers", type=int, default=None, help="ranking thread-pool size"
-    )
-    service.set_defaults(func=cmd_service)
 
     serve = subparsers.add_parser(
         "serve", help="asyncio HTTP front-end with cross-session query batching"
@@ -963,36 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=0, help="seed for the fault plan's draws"
     )
     chaos.add_argument("--sessions", type=int, default=4, help="sessions to drive")
-    chaos.add_argument(
-        "--capacity",
-        type=int,
-        default=2,
-        help="live-session capacity (small values force checkpoint cycles)",
-    )
-    chaos.add_argument("--cache-size", type=int, default=32, help="result-cache pages")
     chaos.add_argument("--shards", type=int, default=4, help="scan shards")
     chaos.add_argument(
         "--use-index",
         action="store_true",
-        help="serve through the HybridTree (default: exact sharded scan)",
-    )
-    chaos.add_argument(
-        "--store",
-        action="store_true",
-        help="serve both replays from a memory-mapped feature store, arming "
-        "the store.* fault sites",
-    )
-    chaos.add_argument(
-        "--batching",
-        action="store_true",
-        help="route both replays through the batching executor, arming the "
-        "batch.execute fault site",
-    )
-    chaos.add_argument(
-        "--ann",
-        action="store_true",
-        help="serve both replays from the tree's ANN tier (approximate "
-        "pages with estimated recall), arming the index.descend fault site",
+        help="serve exact pages through the HybridTree, arming tree.node "
+        "(default: exact sharded scan; the store, batching and ANN modes "
+        "follow the plan's sites)",
     )
     chaos.add_argument(
         "--trace-jsonl",
@@ -1051,17 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument("--csv", help="directory to export CSV into")
     figure.set_defaults(func=cmd_figure)
-
-    bench = subparsers.add_parser(
-        "bench", help="measure the ANN tier's recall and speedup"
-    )
-    bench.add_argument(
-        "--small",
-        action="store_true",
-        help="CI scale (~2.4k rows) instead of the full 40k-row workload",
-    )
-    bench.add_argument("--out", help="write the result payload as JSON here")
-    bench.set_defaults(func=cmd_bench)
 
     export = subparsers.add_parser(
         "export-collection", help="write a generated collection as PPM files"

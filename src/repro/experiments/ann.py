@@ -22,8 +22,7 @@ budget) is scored on
 ``benchmarks/test_ann_recall.py`` runs :func:`run_sweep` at full scale
 and writes ``BENCH_ann.json``; ``compare_bench.py --suite ann`` runs
 the CI-scale config against the committed floors in
-``benchmarks/baselines/ann.json``; ``python -m repro.cli bench`` is the
-interactive front-end.  One measurement, three consumers.
+``benchmarks/baselines/ann.json``.  One measurement, two consumers.
 """
 
 from __future__ import annotations

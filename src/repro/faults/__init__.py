@@ -13,9 +13,11 @@ replayable bit-for-bit*:
   instrumented modules plant at named sites, mirroring
   :mod:`repro.obs`'s tracer plumbing (and sharing its disabled-cost
   budget);
-* :mod:`~repro.faults.plans` — the builtin ``worker-crash`` /
-  ``slow-shard`` / ``corrupt-checkpoint`` scenarios the CI chaos job
-  replays on every PR.
+* :mod:`~repro.faults.plans` — the six builtin scenarios
+  (``BUILTIN_PLAN_NAMES``) the CI chaos job replays on every PR;
+* :mod:`~repro.faults.replay` — the chaos replay behind ``cli chaos``
+  and the fault suite: one feedback workload, fault-free and under a
+  plan, checked page by page against the resilience contract.
 
 Disabled by default: with no plan armed, every injection point costs
 one context-variable read.  See ``docs/RESILIENCE.md`` for the site

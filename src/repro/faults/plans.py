@@ -19,23 +19,21 @@ Seeded scenarios, each aimed at a distinct recovery mechanism:
   transient block I/O and a slow open); exercised paths: the store's
   CRC quarantine, permanent-error fast-fail in the retry layer, and
   explicit ``store_block_corrupt`` degradation of the affected scans
-  while every other shard keeps serving.  Replay store-backed
-  (``chaos --plan torn-block --store``) to arm the store sites.
+  while every other shard keeps serving.
 * ``batch-abort`` — micro-batch executions abort or stall mid-flight;
   exercised paths: the batching executor's lossless per-request serial
   fallback (a failed batch must not fail any query in it) and
-  requests queueing behind a stalled batch.  Replay with
-  batching on (``chaos --plan batch-abort --batching``) to arm the
-  ``batch.execute`` site.
+  requests queueing behind a stalled batch.
 * ``ann-descend`` — leaf reads of the tree's approximate search fail
   mid-search; exercised paths: the ANN tier's rescue by the exact
   sharded scan (pages stamped ``ann_fallback``, never an error), with
-  surviving searches staying deterministic.  Replay with the tier on (``chaos --plan
-  ann-descend --ann``) to arm the ``index.descend`` site.
+  surviving searches staying deterministic.
 
 Plans are plain :class:`~repro.faults.plan.FaultPlan` values — replay
 one with ``python -m repro.cli chaos --plan <name>`` or dump it with
-``--save-plan`` to version a regression scenario.
+``--save-plan`` to version a regression scenario.  The replay serves
+each plan the way its sites need
+(:func:`~repro.faults.replay.serving_mode`).
 """
 
 from __future__ import annotations

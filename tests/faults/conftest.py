@@ -4,8 +4,8 @@ The CI chaos job parameterizes this directory through two environment
 variables:
 
 * ``REPRO_CHAOS_PLAN`` — restrict the recovery tests to one builtin
-  plan (``worker-crash`` / ``slow-shard`` / ``corrupt-checkpoint``);
-  unset runs all of them (the local default).
+  plan (any of ``BUILTIN_PLAN_NAMES``); unset runs all of them (the
+  local default).
 * ``REPRO_CHAOS_SCALE`` — ``large`` drives more sessions and feedback
   rounds through the chaos workload (the nightly configuration);
   anything else uses the quick PR-gate scale.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,52 +72,6 @@ class TestCommands:
         assert "unknown methods" in capsys.readouterr().err
 
 
-class TestServiceCommand:
-    def test_service_smoke(self, capsys):
-        """create → query → feedback → metrics snapshot via the CLI path."""
-        exit_code = main(
-            [
-                "service",
-                "--users", "3",
-                "--categories", "4",
-                "--images-per-category", "15",
-                "--iterations", "2",
-                "--k", "10",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "sessions/sec" in output
-        assert "sessions_created" in output
-        assert "sessions_closed" in output
-        assert "feedbacks" in output
-        assert "cache_hit_rate" in output
-        assert "degradations" in output
-        # Latency stages of the snapshot are printed too.
-        assert "query" in output and "feedback" in output
-
-    def test_service_single_user(self, capsys):
-        exit_code = main(
-            [
-                "service",
-                "--users", "1",
-                "--categories", "3",
-                "--images-per-category", "10",
-                "--iterations", "1",
-                "--k", "5",
-            ]
-        )
-        assert exit_code == 0
-        assert "served 1 sessions" in capsys.readouterr().out
-
-    def test_service_defaults(self):
-        args = build_parser().parse_args(["service"])
-        assert args.users == 8
-        assert args.capacity == 256
-        assert args.cache_size == 128
-        assert args.deadline is None
-
-
 class TestChaosCommand:
     CHAOS_SMALL = [
         "chaos",
@@ -131,8 +87,11 @@ class TestChaosCommand:
         args = build_parser().parse_args(["chaos"])
         assert args.plan == "worker-crash"
         assert args.fault_seed == 0
-        assert args.capacity == 2
         assert not args.use_index
+        # The serving mode follows the plan's sites; the capacity and
+        # cache size are fixed by the replay.
+        for gone in ("store", "batching", "ann", "capacity", "cache_size"):
+            assert not hasattr(args, gone)
 
     def test_unknown_plan_lists_builtins(self, capsys):
         exit_code = main(["chaos", "--plan", "nope"])
@@ -161,6 +120,41 @@ class TestChaosCommand:
         exit_code = main(self.CHAOS_SMALL + ["--plan-file", str(plan_path)])
         assert exit_code == 0
         assert "resilience contract holds" in capsys.readouterr().out
+
+    def test_a_store_plan_file_replays_over_a_store(self, capsys, tmp_path):
+        plan_path = tmp_path / "store-plan.json"
+        plan_path.write_text(
+            json.dumps(
+                {"specs": [{"site": "store.block_read", "kind": "error", "every": 5}]}
+            )
+        )
+        exit_code = main(self.CHAOS_SMALL + ["--plan-file", str(plan_path)])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "store.block_read" in output
+        assert "resilience contract holds" in output
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "not json",
+            '{"specs": [{"site": "shard.scan", "kind": "error"}]}',
+            '{"specs": [{"site": "shard.scna", "kind": "error", "every": 2}]}',
+            "[]",
+        ],
+        ids=["missing", "not-json", "no-trigger", "unknown-site", "not-an-object"],
+    )
+    def test_an_unusable_plan_file_is_a_usage_error(self, capsys, tmp_path, content):
+        plan_path = tmp_path / "plan.json"
+        if content is not None:
+            plan_path.write_text(content)
+        exit_code = main(self.CHAOS_SMALL + ["--plan-file", str(plan_path)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "unusable plan file" in captured.err
 
 
 class TestFigureCommand:
@@ -222,14 +216,7 @@ class TestStoreCommand:
         assert args.shards is None
         assert args.coarse_dims == 0
 
-    def test_chaos_store_flag(self):
-        args = build_parser().parse_args(["chaos", "--plan", "torn-block", "--store"])
-        assert args.store is True
-        assert not build_parser().parse_args(["chaos"]).store
-
     def test_build_verify_inspect_round_trip(self, capsys, tmp_path):
-        import json
-
         path = tmp_path / "cli.qcs"
         exit_code = main(self.BUILD_SMALL + ["--output", str(path), "--shards", "3"])
         assert exit_code == 0
@@ -286,7 +273,6 @@ class TestStoreCommand:
             [
                 "chaos",
                 "--plan", "torn-block",
-                "--store",
                 "--categories", "3",
                 "--images-per-category", "15",
                 "--iterations", "2",
@@ -379,16 +365,11 @@ class TestServeCommand:
 
 
 class TestBatchAbortChaos:
-    def test_parser_has_batching_flag(self):
-        args = build_parser().parse_args(["chaos", "--batching"])
-        assert args.batching
-
     def test_batch_abort_chaos_upholds_the_contract(self, capsys):
         exit_code = main(
             [
                 "chaos",
                 "--plan", "batch-abort",
-                "--batching",
                 "--categories", "3",
                 "--images-per-category", "15",
                 "--iterations", "2",
