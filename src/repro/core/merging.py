@@ -25,7 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import add_event
-from ..stats.chi2 import chi2_ppf
+from ..stats.chi2 import effective_radius
 from ..stats.hotelling import HotellingResult, critical_distance, hotelling_t2
 from .cluster import Cluster
 from .covariance import CovarianceScheme, DiagonalScheme
@@ -219,12 +219,12 @@ class ClusterMerger:
         pairs have different degrees of freedom (different weights give
         different critical values).  F-test pairs are judged against
         Equation 16's critical distance; low-mass pairs against
-        ``low_power_margin * chi2_p(1 - alpha)`` — the margin absorbs the
+        ``low_power_margin * chi2_p(alpha)`` — the margin absorbs the
         scatter deflation that hierarchical splitting of one mode
         introduces, while distant modes exceed the threshold by orders
         of magnitude regardless.
         """
-        low_mass_critical = self.low_power_margin * chi2_ppf(1.0 - alpha, float(dimension))
+        low_mass_critical = self.low_power_margin * effective_radius(dimension, alpha)
         best_key = np.inf
         best: Optional[Tuple[_Pair, float]] = None
         for pair in pairs:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.progressive import exact_top_k
 from ..retrieval.database import FeatureDatabase
 from ..retrieval.methods import FeedbackMethod
 from ..retrieval.metrics import precision_recall_curve
@@ -91,9 +92,7 @@ class NegativeFeedbackSession:
                 )
             else:
                 effective = query
-            distances = effective.distances(self.database.vectors)
-            top = np.argpartition(distances, self.k - 1)[: self.k]
-            ranked = top[np.argsort(distances[top], kind="stable")]
+            ranked = exact_top_k(effective.distances(self.database.vectors), self.k)
             mask, total_relevant = user.relevance_mask(ranked)
             judgment = user.judge(ranked)
             result.records.append(

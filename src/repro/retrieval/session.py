@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.progressive import exact_top_k
 from .database import FeatureDatabase
 from .methods import FeedbackMethod
 from .metrics import PrecisionRecallCurve, precision_recall_curve
@@ -101,12 +102,7 @@ class FeedbackSession:
         """Ranked top-k database indices for ``query`` (exact)."""
         if self.searcher is not None:
             return self.searcher.search(query, self.k).indices
-        distances = query.distances(self.database.vectors)
-        top = np.argpartition(distances, self.k - 1)[: self.k]
-        return top[np.argsort(distances[top], kind="stable")]
-
-    # Backwards-compatible alias (early examples used the private name).
-    _rank = rank
+        return exact_top_k(query.distances(self.database.vectors), self.k)
 
     def run(
         self,
@@ -132,7 +128,7 @@ class FeedbackSession:
         result = SessionResult()
         query = self.method.start(self.database.vectors[query_index])
         for iteration in range(n_iterations + 1):
-            ranked = self._rank(query)
+            ranked = self.rank(query)
             mask, total_relevant = user.relevance_mask(ranked)
             curve = precision_recall_curve(mask, total_relevant)
             judgment = user.judge(ranked)

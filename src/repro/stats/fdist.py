@@ -1,4 +1,4 @@
-"""F distribution built on :mod:`repro.stats.special`.
+"""F distribution, its upper quantile and the paper's random-F draw.
 
 The F quantile supplies the critical distance ``c^2`` of the
 cluster-merging test (paper Equation 16):
@@ -12,7 +12,6 @@ draws critical values as ratios of chi-square sums of squared normals.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from .special import (
     regularized_incomplete_beta,
 )
 
-__all__ = ["f_pdf", "f_cdf", "f_sf", "f_ppf", "f_upper_quantile", "random_f"]
+__all__ = ["f_pdf", "f_cdf", "f_sf", "f_upper_quantile", "random_f"]
 
 
 def _validate_dfs(df1: float, df2: float) -> None:
@@ -48,51 +47,42 @@ def f_pdf(x: float, df1: float, df2: float) -> float:
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
-    """CDF ``P(F <= x)`` via the incomplete-beta change of variables."""
+    """CDF ``P(F <= x) = I_{df1 x / (df1 x + df2)}(df1/2, df2/2)``."""
     _validate_dfs(df1, df2)
     if x <= 0.0:
         return 0.0
-    transformed = df1 * x / (df1 * x + df2)
-    return regularized_incomplete_beta(0.5 * df1, 0.5 * df2, transformed)
+    return regularized_incomplete_beta(0.5 * df1, 0.5 * df2, df1 * x / (df1 * x + df2))
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
-    """Survival function ``P(F > x)``."""
-    return 1.0 - f_cdf(x, df1, df2)
-
-
-@functools.lru_cache(maxsize=256)
-def f_ppf(q: float, df1: float, df2: float) -> float:
-    """Quantile function: the ``x`` with ``f_cdf(x, df1, df2) = q``.
-
-    Memoized like :func:`~repro.stats.chi2.chi2_ppf`: the incomplete-beta
-    inversion costs about 0.8 ms of pure Python, and the merge loop asks
-    for the critical of every F-test pair again at each relaxed alpha.
-    """
+    """Survival function ``P(F > x) = I_{df2 / (df2 + df1 x)}(df2/2, df1/2)``."""
     _validate_dfs(df1, df2)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile level must lie in [0, 1], got {q}")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return math.inf
-    transformed = inverse_regularized_incomplete_beta(0.5 * df1, 0.5 * df2, q)
-    if transformed >= 1.0:  # pragma: no cover - numerical guard
-        return math.inf
-    return df2 * transformed / (df1 * (1.0 - transformed))
+    if x <= 0.0:
+        return 1.0
+    return regularized_incomplete_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * x))
 
 
 def f_upper_quantile(significance_level: float, df1: float, df2: float) -> float:
     """Upper 100(1 - alpha) percentile ``F_{df1, df2}(alpha)`` as the paper writes it.
 
     The paper's notation ``F_{p, n}(alpha)`` denotes the point exceeded with
-    probability ``alpha``; that is ``f_ppf(1 - alpha, p, n)``.
+    probability ``alpha``.  With ``X ~ F(df1, df2)``,
+    ``B = df2 / (df2 + df1 X)`` follows ``Beta(df2/2, df1/2)`` and
+    ``P(X > x) = P(B < b)``, so the quantile is solved from ``alpha``
+    itself as ``b = I^{-1}_alpha(df2/2, df1/2)``; going through
+    ``1 - alpha`` would lose the digits ``alpha`` holds below ``1e-3``.
     """
+    _validate_dfs(df1, df2)
     if not 0.0 < significance_level < 1.0:
         raise ValueError(
             f"significance level must lie strictly in (0, 1), got {significance_level}"
         )
-    return f_ppf(1.0 - significance_level, df1, df2)
+    # scipy.special loads on this first call: the served merge test
+    # reaches the F branch only when a pair holds more than 2p relevance mass.
+    b = inverse_regularized_incomplete_beta(0.5 * df2, 0.5 * df1, significance_level)
+    if b == 0.0:  # df2 near zero: the quantile is past the float range
+        return math.inf
+    return df2 * (1.0 - b) / (df1 * b)
 
 
 def random_f(df1: int, df2: int, rng: np.random.Generator) -> float:

@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core.progressive import exact_top_k
 from .features.image import Image
 from .features.pipeline import FeaturePipeline, color_pipeline, texture_pipeline
 from .index.multipoint import MultipointSearcher
@@ -238,8 +239,7 @@ class ImageRetrievalSystem:
             ids, distances = result.indices, result.distances
         else:
             all_distances = query.distances(self.vectors)
-            top = np.argpartition(all_distances, self.k - 1)[: self.k]
-            ids = top[np.argsort(all_distances[top], kind="stable")]
+            ids = exact_top_k(all_distances, self.k)
             distances = all_distances[ids]
         return ResultPage(ids=ids, distances=distances, iteration=self._session.iteration)
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.cluster import Cluster
 from repro.core.merging import ClusterMerger, MergeRecord, pairwise_merge_test
 from repro.obs import Tracer, activate, add_event
-from repro.stats.chi2 import chi2_ppf
+from repro.stats.chi2 import effective_radius
 
 __all__ = ["reference_merge", "traced_merge"]
 
@@ -38,7 +38,7 @@ def _pair_result(merger, cluster_i, cluster_j, alpha, global_inverse):
         return f_result.statistic, f_result.critical
     diff = cluster_i.centroid - cluster_j.centroid
     separation = float(diff @ global_inverse @ diff)
-    critical = merger.low_power_margin * chi2_ppf(1.0 - alpha, float(dimension))
+    critical = merger.low_power_margin * effective_radius(dimension, alpha)
     return separation, critical
 
 

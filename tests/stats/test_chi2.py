@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import chdtri
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.stats.chi2 import chi2_cdf, chi2_pdf, chi2_ppf, chi2_sf, effective_radius
-from repro.stats.special import inverse_regularized_lower_gamma
+from repro.stats.chi2 import chi2_cdf, chi2_pdf, chi2_sf, effective_radius
 
 
 class TestChi2Distribution:
@@ -26,14 +26,24 @@ class TestChi2Distribution:
     @pytest.mark.parametrize("df", [1, 3, 9, 16])
     @pytest.mark.parametrize("q", [0.01, 0.05, 0.5, 0.95, 0.99])
     def test_ppf_matches_scipy(self, df, q):
-        assert chi2_ppf(q, df) == pytest.approx(st.chi2.ppf(q, df), rel=1e-9)
+        assert effective_radius(df, 1.0 - q) == pytest.approx(st.chi2.ppf(q, df), rel=1e-9)
 
     @pytest.mark.parametrize("df", [32, 64, 128])
     @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-4, 1e-6])
     def test_ppf_matches_scipy_at_served_sizes(self, df, alpha):
         # Served dimensions, down to the merge loop's alpha floor (1e-6).
-        expected = st.chi2.ppf(1.0 - alpha, df)
-        assert chi2_ppf(1.0 - alpha, float(df)) == pytest.approx(expected, rel=1e-9)
+        assert effective_radius(df, alpha) == pytest.approx(st.chi2.isf(alpha, df), rel=1e-9)
+
+    @pytest.mark.parametrize("df", [1, 7, 33, 1501, 4000])
+    @pytest.mark.parametrize("alpha", [0.9, 0.05, 1e-6, 1e-30])
+    def test_odd_and_very_large_df_match_scipy(self, df, alpha):
+        # Odd p adds the erfc term; p in the thousands rescales the tail sum.
+        assert effective_radius(df, alpha) == pytest.approx(chdtri(df, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [3, 16, 64, 1501])
+    def test_sf_matches_scipy_in_the_tail(self, df):
+        x = st.chi2.isf(1e-6, df)
+        assert chi2_sf(x, df) == pytest.approx(st.chi2.sf(x, df), rel=1e-12)
 
     def test_sf_is_complement(self):
         assert chi2_sf(4.2, 6) == pytest.approx(1.0 - chi2_cdf(4.2, 6))
@@ -48,20 +58,14 @@ class TestChi2Distribution:
         with pytest.raises(ValueError):
             chi2_cdf(1.0, 0)
         with pytest.raises(ValueError):
-            chi2_ppf(0.5, 0)
-
-    def test_ppf_memo_returns_the_bisection(self):
-        # The memo only skips recomputation; it never changes a value.
-        first = chi2_ppf(0.95, 16.0)
-        assert first == 2.0 * inverse_regularized_lower_gamma(8.0, 0.95)
-        hits = chi2_ppf.cache_info().hits
-        assert chi2_ppf(0.95, 16.0) == first
-        assert chi2_ppf.cache_info().hits == hits + 1
+            effective_radius(-2, 0.5)
+        with pytest.raises(ValueError):
+            effective_radius(2.5, 0.5)
 
     @given(hst.integers(min_value=1, max_value=64), hst.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=100, deadline=None)
-    def test_ppf_cdf_roundtrip(self, df, q):
-        assert chi2_cdf(chi2_ppf(q, df), df) == pytest.approx(q, abs=1e-9)
+    def test_ppf_cdf_roundtrip(self, df, alpha):
+        assert st.chi2.sf(effective_radius(df, alpha), df) == pytest.approx(alpha, abs=1e-9)
 
 
 class TestEffectiveRadius:

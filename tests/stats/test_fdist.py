@@ -8,7 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.stats.fdist import f_cdf, f_pdf, f_ppf, f_sf, f_upper_quantile, random_f
+from repro.stats.fdist import f_cdf, f_pdf, f_sf, f_upper_quantile, random_f
 
 
 class TestFDistribution:
@@ -28,7 +28,8 @@ class TestFDistribution:
     @pytest.mark.parametrize("df2", [5, 48])
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 0.99])
     def test_ppf_matches_scipy(self, df1, df2, q):
-        assert f_ppf(q, df1, df2) == pytest.approx(st.f.ppf(q, df1, df2), rel=1e-8)
+        expected = st.f.ppf(q, df1, df2)
+        assert f_upper_quantile(1.0 - q, df1, df2) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("df1", [16, 32, 64])
     @pytest.mark.parametrize("df2_offset", ["p", "p+1", "2p"])
@@ -37,16 +38,8 @@ class TestFDistribution:
         # The merge test's F branch starts at df2 = p; the served merge
         # config relaxes alpha down to 1e-6.
         df2 = {"p": df1, "p+1": df1 + 1, "2p": 2 * df1}[df2_offset]
-        expected = st.f.ppf(1.0 - alpha, df1, df2)
-        assert f_ppf(1.0 - alpha, float(df1), float(df2)) == pytest.approx(expected, rel=1e-8)
-
-    def test_ppf_memo_returns_the_inversion(self):
-        # The memo only skips recomputation; it never changes a value.
-        first = f_ppf(0.999, 32.0, 33.0)
-        assert first == f_ppf.__wrapped__(0.999, 32.0, 33.0)
-        hits = f_ppf.cache_info().hits
-        assert f_ppf(0.999, 32.0, 33.0) == first
-        assert f_ppf.cache_info().hits == hits + 1
+        expected = st.f.isf(alpha, df1, df2)
+        assert f_upper_quantile(alpha, float(df1), float(df2)) == pytest.approx(expected, rel=1e-8)
 
     def test_sf_is_complement(self):
         assert f_sf(1.7, 3, 14) == pytest.approx(1.0 - f_cdf(1.7, 3, 14))
@@ -61,11 +54,18 @@ class TestFDistribution:
         # F_{12, 48}(0.05) ~ 1.96 (Table 2).
         assert f_upper_quantile(0.05, 12, 48) == pytest.approx(1.96, abs=0.01)
 
+    def test_tiny_df2_overflows_to_inf(self):
+        # Fractional relevance mass can leave m_i + m_j - p - 1 just above 0.
+        assert f_upper_quantile(1e-6, 2.0, 1e-3) == np.inf
+        assert f_upper_quantile(1e-6, 2.0, 0.1) == pytest.approx(5e118, rel=1e-9)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             f_cdf(1.0, 0, 5)
         with pytest.raises(ValueError):
-            f_ppf(1.5, 3, 5)
+            f_upper_quantile(0.05, 0, 5)
+        with pytest.raises(ValueError):
+            f_upper_quantile(1.5, 3, 5)
         with pytest.raises(ValueError):
             f_upper_quantile(0.0, 3, 5)
 
@@ -75,8 +75,9 @@ class TestFDistribution:
         hst.floats(min_value=0.02, max_value=0.98),
     )
     @settings(max_examples=100, deadline=None)
-    def test_ppf_cdf_roundtrip(self, df1, df2, q):
-        assert f_cdf(f_ppf(q, df1, df2), df1, df2) == pytest.approx(q, abs=1e-8)
+    def test_ppf_cdf_roundtrip(self, df1, df2, alpha):
+        quantile = f_upper_quantile(alpha, df1, df2)
+        assert st.f.sf(quantile, df1, df2) == pytest.approx(alpha, abs=1e-8)
 
 
 class TestRandomF:

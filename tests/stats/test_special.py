@@ -1,4 +1,4 @@
-"""Cross-validate the from-scratch special functions against scipy."""
+"""Validate the scipy-backed special functions: values, identities and argument checks."""
 
 from __future__ import annotations
 
